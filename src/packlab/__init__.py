@@ -1,5 +1,7 @@
 """Exact computations for list- and correspondence-packing of K_{d,t}."""
 
+__version__ = "0.1.0"
+
 from .cases import (
     CASE_MATRICES,
     a10_assignment,
@@ -80,5 +82,3 @@ from .search import (
     verify_cover_witness,
     verify_list_witness,
 )
-
-__version__ = "0.1.0"

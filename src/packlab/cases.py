@@ -17,7 +17,7 @@ import itertools
 
 from .covers import ListAssignment, make_assignment
 from .errors import ResourceLimitError
-from .packing import has_perfect_matching
+from .packing import has_perfect_matching, list_masks
 
 #: the twelve reference matrices of the distinct-list types; rows are colour
 #: vectors, row sets are the three lists of the type
@@ -47,15 +47,7 @@ def check_case_matrix(rows: tuple[tuple[int, ...], ...], v_list) -> bool:
     colours = sorted(v_list)
     if len(colours) != k or any(len(r) != k for r in rows):
         raise ValueError("v_list and all rows must have the same size k")
-    adm = []
-    for s in range(k):
-        column = {row[s] for row in rows}
-        mask = 0
-        for idx, c in enumerate(colours):
-            if c not in column:
-                mask |= 1 << idx
-        adm.append(mask)
-    return has_perfect_matching(adm)
+    return has_perfect_matching(list_masks(rows, colours))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ list-assignment), a claim about it, an optional witness, and provenance
 metadata.  Witness claims are verified by direct positionwise checking;
 exhaustive claims (no_k_packing, no_k_colouring) are verified by re-running
 the full candidate scan with code deliberately separate from the search
-module: only the permutation helpers and the matching engine are shared.
+module.  The verifier shares only ``perms`` and ``packing``: from the
+latter, the mask builders (``transported_masks``, ``list_masks``),
+``has_perfect_matching`` and ``lex_smallest_system``.  Its witness checks
+and its colouring scan are its own.
 
 The serialized form is JSON with a fixed field order, produced by
 ``to_canonical_json``; re-serializing a parsed certificate reproduces the
@@ -18,12 +21,16 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from . import __version__
 from .covers import CorrespondenceCover, ListAssignment
 from .errors import MalformedInputError, ResourceLimitError
-from .packing import has_perfect_matching
+from .packing import (
+    has_perfect_matching,
+    lex_smallest_system,
+    list_masks,
+    transported_masks,
+)
 from .perms import identity, perm_from_str, perm_to_str
-
-TOOL_VERSION = "0.1.0"
 
 CLAIMS = ("no_k_packing", "packing_witness", "no_k_colouring", "colouring_witness")
 _WITNESS_CLAIMS = ("packing_witness", "colouring_witness")
@@ -39,7 +46,7 @@ class Metadata:
     seed: int | None = None
     budget: dict | None = None
     timestamp: str | None = None
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,7 +101,7 @@ class Certificate:
                 seed=metadata.get("seed"),
                 budget=metadata.get("budget"),
                 timestamp=metadata.get("timestamp"),
-                tool_version=metadata.get("tool_version", TOOL_VERSION),
+                tool_version=metadata.get("tool_version", __version__),
             ),
         )
 
@@ -303,32 +310,26 @@ def _verify_colouring_witness(instance, witness) -> VerifyResult:
 
 
 def _verify_no_packing(instance) -> VerifyResult:
-    """Exhaust all candidates on the small side; accept iff every one fails."""
+    """Exhaust all candidates on the small side; accept iff every one fails.
+
+    A candidate fails when some vertex of the other side has no perfect
+    matching; the lexicographically smallest extensions are only built for
+    a survivor, as rejection evidence.
+    """
     k = instance.k
-    full = (1 << k) - 1
     if isinstance(instance, CorrespondenceCover):
         perms = list(itertools.permutations(range(1, k + 1)))
         ident = identity(k)
         columns = [instance.column(j) for j in range(instance.t)]
         for rest in itertools.product(perms, repeat=instance.d - 1):
             rows = (ident,) + rest
-            extensions = []
-            for col in columns:
-                adm = [full] * k
-                for i, row in enumerate(rows):
-                    sigma = col[i]
-                    for s in range(k):
-                        adm[s] &= ~(1 << (sigma[row[s] - 1] - 1))
-                ext = _lex_extension(adm)
-                if ext is None:
-                    break
-                extensions.append(ext)
-            else:
+            adms = _all_matchable(transported_masks(rows, col, k) for col in columns)
+            if adms is not None:
                 return _reject(
                     "surviving packing found",
                     {
                         "u_rows": [perm_to_str(r) for r in rows],
-                        "v_rows": [perm_to_str(r) for r in extensions],
+                        "v_rows": [perm_to_str(lex_smallest_system(a)) for a in adms],
                     },
                 )
         return _ACCEPT
@@ -340,55 +341,27 @@ def _verify_no_packing(instance) -> VerifyResult:
     first = u_lists[0]
     for rest in itertools.product(*arrangements):
         rows = (first,) + rest
-        extensions = []
-        for v_list in instance.v_lists:
-            ext = _list_extension(rows, v_list, k)
-            if ext is None:
-                break
-            extensions.append(ext)
-        else:
+        adms = _all_matchable(list_masks(rows, v_list) for v_list in instance.v_lists)
+        if adms is not None:
+            v_rows = [
+                [v_list[i - 1] for i in lex_smallest_system(a)]
+                for v_list, a in zip(instance.v_lists, adms)
+            ]
             return _reject(
                 "surviving packing found",
-                {"u_rows": [list(r) for r in rows], "v_rows": [list(r) for r in extensions]},
+                {"u_rows": [list(r) for r in rows], "v_rows": v_rows},
             )
     return _ACCEPT
 
 
-def _lex_extension(adm: list[int]) -> tuple[int, ...] | None:
-    if not has_perfect_matching(adm):
-        return None
-    k = len(adm)
-    used = 0
+def _all_matchable(mask_lists) -> list[list[int]] | None:
+    """The mask lists, in order, if each admits a perfect matching; else None."""
     out = []
-    for j in range(k):
-        avail = adm[j] & ~used
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            rest = [adm[i] & ~(used | bit) for i in range(j + 1, k)]
-            if has_perfect_matching(rest):
-                out.append(bit.bit_length())
-                used |= bit
-                break
-        else:
+    for adm in mask_lists:
+        if not has_perfect_matching(adm):
             return None
-    return tuple(out)
-
-
-def _list_extension(rows, v_list, k: int) -> tuple[int, ...] | None:
-    colours = list(v_list)
-    adm = []
-    for s in range(k):
-        column = {row[s] for row in rows}
-        mask = 0
-        for idx, c in enumerate(colours):
-            if c not in column:
-                mask |= 1 << idx
-        adm.append(mask)
-    ext = _lex_extension(adm)
-    if ext is None:
-        return None
-    return tuple(colours[i - 1] for i in ext)
+        out.append(adm)
+    return out
 
 
 def _verify_no_colouring(instance) -> VerifyResult:

@@ -25,15 +25,27 @@ from .certificates import (
     witness_dict_for_lists,
 )
 from .covers import CorrespondenceCover, ListAssignment
-from .errors import PackLabError
+from .errors import MalformedInputError, PackLabError
 from .reproduction import run_reproduction, write_report
 
 
-def _workers(args) -> int | None:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    env = os.environ.get("PACKLAB_WORKERS")
-    return int(env) if env else None
+def _workers(args) -> int:
+    """Worker count from --workers, else PACKLAB_WORKERS, else 1.
+
+    The only place that reads PACKLAB_WORKERS; library functions take an
+    explicit count.
+    """
+    if args.workers is not None:
+        source, value = "--workers", args.workers
+    else:
+        source, value = "PACKLAB_WORKERS", os.environ.get("PACKLAB_WORKERS") or "1"
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise MalformedInputError(f"{source} must be a positive integer, got {value!r}")
+    return workers
 
 
 def _emit(args, text_lines, structured) -> None:
@@ -159,7 +171,7 @@ def _cmd_hunt(args) -> int:
         seed=args.seed,
     )
     cover = search.random_unpackable_cover_search(
-        args.d, args.k, args.t, budget, workers=_workers(args) or 1
+        args.d, args.k, args.t, budget, workers=_workers(args)
     )
     if cover is None:
         _emit(args, ["no cover found within budget"], {"found": False})
@@ -227,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=("text", "structured"), default="text")
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", default=None,
                        help="worker count (default: PACKLAB_WORKERS or 1)")
 
     p = sub.add_parser("latin", help="Latin square counts")

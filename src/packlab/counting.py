@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ResourceLimitError
 from .latin import LATIN_SQUARE_COUNTS
-from .packing import has_perfect_matching
-from .perms import Perm, identity
+from .packing import admissible_masks, has_perfect_matching
+from .perms import Perm, cycle_type, identity
 
 _N_RANGE = range(1, 12)
 
@@ -103,40 +102,19 @@ def _conjugacy_classes(k: int) -> list[tuple[Perm, int]]:
     """
     classes: dict[tuple[int, ...], list] = {}
     for p in itertools.permutations(range(1, k + 1)):
-        seen = [False] * k
-        lengths = []
-        for s in range(k):
-            if seen[s]:
-                continue
-            ln, j = 0, s
-            while not seen[j]:
-                seen[j] = True
-                j = p[j] - 1
-                ln += 1
-            lengths.append(ln)
-        key = tuple(sorted(lengths))
-        entry = classes.setdefault(key, [p, 0])
+        entry = classes.setdefault(cycle_type(p), [p, 0])
         entry[1] += 1
         if p < entry[0]:
             entry[0] = p
     return [(rep, size) for rep, size in classes.values()]
 
 
-def _forbidden_masks_for(rows: tuple[Perm, ...], k: int, full: int) -> list[int]:
-    adm = [full] * k
-    for row in rows:
-        for j in range(k):
-            adm[j] &= ~(1 << (row[j] - 1))
-    return adm
-
-
 def _count_block(k: int, fixed: tuple[Perm, ...], depth: int) -> int:
     """Forbidden matrices whose first rows are `fixed`, with `depth` free rows."""
-    full = (1 << k) - 1
     perms = list(itertools.permutations(range(1, k + 1)))
     count = 0
     for rest in itertools.product(perms, repeat=depth):
-        if not has_perfect_matching(_forbidden_masks_for(fixed + rest, k, full)):
+        if not has_perfect_matching(admissible_masks(fixed + rest, k)):
             count += 1
     return count
 
@@ -144,7 +122,7 @@ def _count_block(k: int, fixed: tuple[Perm, ...], depth: int) -> int:
 def forbidden_count_brute(
     d: int,
     k: int,
-    workers: int | None = None,
+    workers: int = 1,
     max_matrices: int = 20_000_000,
     use_class_reduction: bool | None = None,
 ) -> int:
@@ -157,7 +135,8 @@ def forbidden_count_brute(
     representative per conjugacy class, weighting each block by the class
     size: simultaneous conjugation of all rows fixes the identity first row
     and again preserves unextendability.  Both reductions are exact and are
-    cross-checked against the plain enumeration in the tests.
+    cross-checked against the plain enumeration in the tests.  With
+    ``workers`` > 1 the class blocks are counted in a process pool.
     """
     if d < 1 or k < 1:
         raise ValueError("need d, k >= 1")
@@ -178,7 +157,6 @@ def forbidden_count_brute(
         return kf * _count_block(k, (ident,), free_rows)
 
     blocks = _conjugacy_classes(k)
-    workers = _resolve_workers(workers)
     if workers > 1 and len(blocks) > 1:
         import concurrent.futures
 
@@ -190,18 +168,6 @@ def forbidden_count_brute(
     else:
         total = sum(size * _count_block(k, (ident, rep), free_rows - 1) for rep, size in blocks)
     return kf * total
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("PACKLAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,19 @@ permutation of {1..k} that differs from every row in every position.  That
 is a perfect-matching question on the bipartite graph between positions and
 colours where colour c is admissible at position j iff no row has c at j;
 everything in this module reduces to that matching problem.
+
+This module is the only place that turns rows into admissible masks
+(plain, transported through per-row matchings, or over a colour list) and
+masks into an extension.  The independent verifier in ``certificates``
+shares these builders and the matching engine, and nothing else beyond
+``perms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import Perm, compose, is_permutation, perm_from_str, perm_to_str
+from .perms import Perm, is_permutation, perm_from_str, perm_to_str
 
 
 @dataclass(frozen=True)
@@ -67,18 +73,42 @@ class ObstructionReport:
 # ---------------------------------------------------------------------------
 
 
-def forbidden_masks(rows: tuple[Perm, ...], k: int) -> list[int]:
-    """Per-position bitmask of colours excluded by the rows."""
-    masks = [0] * k
+def admissible_masks(rows: tuple[Perm, ...], k: int) -> list[int]:
+    """Per-position bitmask of the colours no row uses at that position."""
+    adm = [(1 << k) - 1] * k
     for row in rows:
         for j in range(k):
-            masks[j] |= 1 << (row[j] - 1)
-    return masks
+            adm[j] &= ~(1 << (row[j] - 1))
+    return adm
 
 
-def admissible_masks(rows: tuple[Perm, ...], k: int) -> list[int]:
-    full = (1 << k) - 1
-    return [full & ~m for m in forbidden_masks(rows, k)]
+def transported_masks(rows, matchings, k: int) -> list[int]:
+    """admissible_masks of the rows seen through per-row matchings.
+
+    Row i puts colour matchings[i][c-1] wherever it has c; a None entry
+    (a partial matching) constrains nothing.  With every entry set this
+    equals admissible_masks of the rows compose(matchings[i], rows[i]).
+    """
+    adm = [(1 << k) - 1] * k
+    for matching, row in zip(matchings, rows):
+        for j in range(k):
+            target = matching[row[j] - 1]
+            if target is not None:
+                adm[j] &= ~(1 << (target - 1))
+    return adm
+
+
+def list_masks(rows, colours) -> list[int]:
+    """Masks over a colour list: bit idx is set at position j iff
+    colours[idx] is absent from column j of the rows."""
+    bits: dict[int, int] = {}
+    for idx, c in enumerate(colours):
+        bits[c] = bits.get(c, 0) | 1 << idx
+    adm = [(1 << len(colours)) - 1] * len(rows[0])
+    for row in rows:
+        for j, c in enumerate(row):
+            adm[j] &= ~bits.get(c, 0)
+    return adm
 
 
 def matching_size(adm: list[int]) -> int:
@@ -178,8 +208,9 @@ def find_extension_with_matchings(
     for m in matchings:
         if len(m) != matrix.k:
             raise ValueError(f"matching {m!r} has size {len(m)}, expected {matrix.k}")
-    rows = tuple(compose(m, row) for m, row in zip(matchings, matrix.rows))
-    return find_common_derangement(PackingMatrix(k=matrix.k, rows=rows))
+        if not is_permutation(m):
+            raise ValueError(f"matching {m!r} is not a permutation of {{1..{matrix.k}}}")
+    return lex_smallest_system(transported_masks(matrix.rows, matchings, matrix.k))
 
 
 def classify_obstructions(matrix: PackingMatrix) -> ObstructionReport:

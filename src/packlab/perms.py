@@ -4,7 +4,7 @@ A permutation is a plain tuple of ints: ``p[j-1]`` is the image of position
 ``j``.  Values are 1-based everywhere, matching the serialized form
 ``"(2,1,3)"``.  Hot loops elsewhere in the package operate on these raw
 tuples; the helpers here do the validation and the small algebra (compose,
-invert, parity) that everything else is built from.
+invert, cycle type, parity) that everything else is built from.
 """
 
 from __future__ import annotations
@@ -64,22 +64,24 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def sign(p: Perm) -> int:
-    """+1 for even permutations, -1 for odd ones (via cycle decomposition)."""
-    n = len(p)
-    seen = [False] * n
-    transpositions = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    """The cycle lengths of p, sorted ascending; they sum to len(p)."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        length, j = 0, start
         while not seen[j]:
             seen[j] = True
             j = p[j] - 1
             length += 1
-        transpositions += length - 1
-    return -1 if transpositions % 2 else 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def sign(p: Perm) -> int:
+    """+1 for even permutations, -1 for odd ones: (-1)^(k - #cycles)."""
+    return -1 if (len(p) - len(cycle_type(p))) % 2 else 1
 
 
 def parity(p: Perm) -> str:

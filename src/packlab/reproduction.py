@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from . import cases, counting, latin, search
-from .certificates import TOOL_VERSION, make_certificate, verify_certificate
+from . import __version__, cases, counting, latin, search
+from .certificates import make_certificate, verify_certificate
 from .covers import k22_unpackable_cover
 from .packing import PackingMatrix, brute_force_extension, find_common_derangement
 from .perms import all_permutations, sign
@@ -69,7 +69,7 @@ class Report:
         return {
             "version": 1,
             "kind": "reproduction_report",
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
             "passed": sum(1 for i in self.items if i.ok),
             "failed": sum(1 for i in self.items if not i.ok),
             "items": [
@@ -108,7 +108,7 @@ def _parity_blocked_pairs(want_equal_parity: bool) -> set:
 
 def run_reproduction(
     long: bool = False,
-    workers: int | None = None,
+    workers: int = 1,
     emit: Callable[[str], None] | None = print,
     report_path: str | None = None,
 ) -> Report:

@@ -29,7 +29,12 @@ from .covers import (
     list_to_partial_cover,
 )
 from .errors import BudgetExceededError, ResourceLimitError
-from .packing import has_perfect_matching, lex_smallest_system
+from .packing import (
+    admissible_masks,
+    has_perfect_matching,
+    lex_smallest_system,
+    transported_masks,
+)
 from .perms import Perm, compose, identity
 
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
@@ -73,7 +78,6 @@ def _decide_columns(columns, d: int, t: int, k: int, max_candidates: int) -> Pac
     perfect matching between positions and colours.  Returns the first full
     witness (with lexicographically smallest extensions), or None.
     """
-    full = (1 << k) - 1
     perms = list(itertools.permutations(range(1, k + 1)))
     n_candidates = len(perms) ** (d - 1)
     if n_candidates > max_candidates:
@@ -85,16 +89,7 @@ def _decide_columns(columns, d: int, t: int, k: int, max_candidates: int) -> Pac
         rows = (ident,) + rest
         all_adm: list[list[int]] = []
         for j in range(t):
-            forbid = [0] * k
-            col = columns[j]
-            for i in range(d):
-                entry = col[i]
-                row = rows[i]
-                for s in range(k):
-                    target = entry[row[s] - 1]
-                    if target is not None:
-                        forbid[s] |= 1 << (target - 1)
-            adm = [full & ~m for m in forbid]
+            adm = transported_masks(rows, columns[j], k)
             if not has_perfect_matching(adm):
                 break
             all_adm.append(adm)
@@ -136,7 +131,8 @@ def decide_list_packing(
         tuple(v_maps[j][p - 1] for p in row) for j, row in enumerate(witness.v_rows)
     )
     translated = PackingWitness(u_rows=u_rows, v_rows=v_rows)
-    assert verify_list_witness(assignment, translated)
+    if not verify_list_witness(assignment, translated):
+        raise AssertionError("translated list witness fails the colourwise check")
     return translated
 
 
@@ -259,18 +255,9 @@ class _ReducedSpace:
         self.full_mask = (1 << self.size) - 1
 
         ident = identity(k)
-        full = (1 << k) - 1
-        forbidden: list[bool] = []
-        for rest in itertools.product(perms, repeat=d - 1):
-            rows = (ident,) + rest
-            adm = [full] * k
-            for row in rows:
-                for j in range(k):
-                    adm[j] &= ~(1 << (row[j] - 1))
-            forbidden.append(not has_perfect_matching(adm))
         f_mask = 0
-        for idx, bad in enumerate(forbidden):
-            if bad:
+        for idx, rest in enumerate(itertools.product(perms, repeat=d - 1)):
+            if not has_perfect_matching(admissible_masks((ident,) + rest, k)):
                 f_mask |= 1 << idx
         self.forbidden_mask = f_mask
         self.forbidden_count = bin(f_mask).count("1")
@@ -353,8 +340,9 @@ def random_unpackable_cover_search(
     at one vertex by the best alternative (steepest descent, round-robin over
     vertices); stuck states trigger a seeded restart.  Returns a cover with
     objective zero, or None when the candidate budget (or time limit) runs
-    out.  Fixed (seed, budget) gives a fixed outcome; the worker count only
-    partitions candidate evaluation, whose min-reduction is order-independent.
+    out.  Fixed (seed, budget) gives a fixed outcome.  The search runs in
+    one thread; ``workers`` is accepted for compatibility and the result
+    never depends on it.
     """
     import random
 
@@ -367,27 +355,10 @@ def random_unpackable_cover_search(
     evaluations = 0
     max_evals = budget.max_candidates
 
-    chunk_bounds = _chunks(nc, max(1, workers))
-
     def best_replacement(base: int) -> tuple[int, int]:
-        """(survivor count, combo index), minimized, deterministic."""
-
-        def scan(lo_hi):
-            lo, hi = lo_hi
-            best = (full.bit_count() + 1, -1)
-            for c in range(lo, hi):
-                cnt = (full & ~(base | masks[c])).bit_count()
-                if (cnt, c) < best:
-                    best = (cnt, c)
-            return best
-
-        if workers > 1:
-            import concurrent.futures
-
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(scan, chunk_bounds))
-            return min(results)
-        return min(scan(b) for b in chunk_bounds)
+        """(survivor count, combo index), minimized over every combination."""
+        uncovered = full & ~base
+        return min(((uncovered & ~m).bit_count(), c) for c, m in enumerate(masks))
 
     while True:
         state = [rng.randrange(nc) for _ in range(t_target)]
@@ -421,11 +392,6 @@ def _or_masks(masks: list[int], state: list[int]) -> int:
     for c in state:
         acc |= masks[c]
     return acc
-
-
-def _chunks(n: int, parts: int) -> list[tuple[int, int]]:
-    size = -(-n // parts)
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 # ---------------------------------------------------------------------------

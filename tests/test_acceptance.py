@@ -198,9 +198,10 @@ def test_c11_small_exact_chromatic_numbers():
 def test_c11_long_chi_c_k44():
     """Stated expectation: chi_c(K_{4,4}) = 3.  The computation refutes it:
     an explicit uncolourable 3-fold cover of K_{4,4} exists (see
-    test_chi_c_k44_counterexample for the verified construction and
-    notes/decisions.md for the analysis), so the exact value is 4 and this
-    criterion stays red on purpose rather than being loosened."""
+    test_chi_c_k44_counterexample for the verified construction, and the
+    README section "Known discrepancies" and demos/07_k44_cover.py for the
+    analysis), so the exact value is 4 and this criterion stays red on
+    purpose rather than being loosened."""
     value = search.chi_c_exact(4, 4)
     conclude("criterion 11 (long): chi_c(K_{4,4}) = 3", value == 3,
              f"value={value}; an uncolourable 3-fold cover exists, see ledger")

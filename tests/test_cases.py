@@ -1,7 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import packlab
 from packlab.cases import (
     CASE_MATRICES,
     _arrangement_blockable,
@@ -168,6 +172,26 @@ def test_a10_fixture_packable_with_verified_witness():
     witness = decide_list_packing(assignment)
     assert witness is not None
     assert verify_list_witness(assignment, witness)
+
+
+def test_list_witness_check_survives_optimize_flag():
+    # python -O strips assert statements; the witness check must still run
+    script = (
+        "import sys\n"
+        "import packlab.search as search\n"
+        "from packlab.cases import a10_assignment\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(4)\n"
+        "search.verify_list_witness = lambda *args: False\n"
+        "try:\n"
+        "    search.decide_list_packing(a10_assignment())\n"
+        "except AssertionError:\n"
+        "    sys.exit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(packlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    assert proc.returncode == 3
 
 
 def test_k39_proof_shape():

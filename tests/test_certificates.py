@@ -52,7 +52,23 @@ def test_verify_rejects_packable_cover_claim():
     )
     result = verify_certificate(cert)
     assert not result.accepted
-    assert result.evidence is not None and "u_rows" in result.evidence
+    assert result.reason == "surviving packing found"
+    assert result.evidence == {
+        "u_rows": ["(1,2,3)", "(1,2,3)"],
+        "v_rows": ["(2,3,1)", "(2,3,1)"],
+    }
+
+
+def test_verify_rejects_packable_list_claim():
+    cert = make_certificate("no_k_packing", a10_assignment(), None, generator="fixture")
+    result = verify_certificate(cert)
+    assert not result.accepted
+    assert result.reason == "surviving packing found"
+    assert result.evidence == {
+        "u_rows": [[1, 2, 3], [4, 1, 5], [6, 7, 1]],
+        "v_rows": [[2, 4, 6], [2, 4, 7], [2, 5, 6], [2, 5, 7],
+                   [3, 4, 6], [3, 4, 7], [3, 5, 6], [3, 5, 7]],
+    }
 
 
 def test_verify_packing_witness():

@@ -127,6 +127,29 @@ def test_hunt_finds_and_writes_reproducible_certificates(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_bad_workers_flag_is_input_error(capsys, value):
+    code, _, err = run(capsys, "forbidden-count", "--d", "2", "--k", "3",
+                       "--method", "brute", "--workers", value)
+    assert code == 2
+    assert "--workers" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_bad_workers_env_is_input_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("PACKLAB_WORKERS", value)
+    code, _, err = run(capsys, "hunt", "--d", "2", "--k", "3", "--t", "2")
+    assert code == 2
+    assert "PACKLAB_WORKERS" in err and repr(value) in err
+
+
+def test_workers_flag_overrides_env(capsys, monkeypatch):
+    monkeypatch.setenv("PACKLAB_WORKERS", "abc")
+    code, out, _ = run(capsys, "forbidden-count", "--d", "2", "--k", "3",
+                       "--method", "brute", "--workers", "1")
+    assert code == 0 and out.strip() == "brute: 18"
+
+
 def test_hunt_budget_exhaustion_exit_code(capsys):
     code, out, _ = run(capsys, "hunt", "--d", "2", "--k", "3", "--t", "1",
                        "--seed", "0", "--budget-candidates", "2000")

@@ -5,12 +5,15 @@ import pytest
 
 from packlab.packing import (
     PackingMatrix,
+    admissible_masks,
     brute_force_extension,
     classify_obstructions,
     find_common_derangement,
     find_extension_with_matchings,
     forbidden_witness_latin_structure,
     is_forbidden,
+    list_masks,
+    transported_masks,
 )
 from packlab.perms import all_permutations, compose, identity, is_derangement_of
 
@@ -96,6 +99,32 @@ def test_extension_with_matchings_composes():
         find_extension_with_matchings(m, [identity(3)])
     with pytest.raises(ValueError):
         find_extension_with_matchings(m, [identity(3), identity(4)])
+    with pytest.raises(ValueError):
+        find_extension_with_matchings(m, [identity(3), (1, 1, 2)])
+
+
+def test_mask_builders_match_references():
+    rng = random.Random(12)
+    for _ in range(300):
+        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
+        k = m.k
+        matchings = [random_matrix(rng, 1, k).rows[0] for _ in range(m.d)]
+        composed = tuple(compose(s, row) for s, row in zip(matchings, m.rows))
+        assert transported_masks(m.rows, matchings, k) == admissible_masks(composed, k)
+        # partial matchings: a None entry constrains nothing
+        partial = [tuple(v if rng.random() < 0.6 else None for v in s) for s in matchings]
+        reference = []
+        for j in range(k):
+            used = {s[row[j] - 1] for s, row in zip(partial, m.rows)}
+            reference.append(sum(1 << (c - 1) for c in range(1, k + 1) if c not in used))
+        assert transported_masks(m.rows, partial, k) == reference
+        # list masks: bit idx iff colours[idx] is absent from the column
+        colours = sorted(rng.sample(range(1, 2 * k + 1), k))
+        columns = [{row[j] for row in m.rows} for j in range(k)]
+        assert list_masks(m.rows, colours) == [
+            sum(1 << idx for idx, c in enumerate(colours) if c not in column)
+            for column in columns
+        ]
 
 
 def test_obstruction_kinds_of_reference_matrices():

@@ -7,6 +7,7 @@ from packlab.errors import ResourceLimitError
 from packlab.perms import (
     all_permutations,
     compose,
+    cycle_type,
     has_fixed_point,
     identity,
     inverse,
@@ -109,6 +110,13 @@ def test_all_permutations_lex_order_and_distinct():
         assert perms == sorted(perms)
         assert len(set(perms)) == len(perms)
         assert perms[0] == identity(k)
+        if k > 6:
+            continue
+        for p in perms:
+            lengths = cycle_type(p)
+            assert sum(lengths) == k and list(lengths) == sorted(lengths)
+            inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+            assert sign(p) == (-1) ** (k - len(lengths)) == (-1) ** inversions
 
 
 def test_all_permutations_limit():
