@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ResourceLimitError
-from .latin import LATIN_SQUARE_COUNTS
-from .packing import admissible_masks, has_perfect_matching
+from .latin import LATIN_SQUARE_COUNTS, _count_rows
+from .packing import has_perfect_matching
 from .perms import Perm, cycle_type, identity
 
 _N_RANGE = range(1, 12)
@@ -39,8 +39,7 @@ def _latin_count(d: int) -> int:
     """Latin square count N(d) from the stored table.
 
     The table is re-derived by enumeration in the latin module's tests
-    (n <= 5 always, n = 6 behind the long flag); reading it directly keeps
-    the closed forms fast.
+    (n <= 6); reading it directly keeps the closed forms fast.
     """
     if d not in _N_RANGE:
         raise ResourceLimitError(f"N({d}) unknown; d must be in 1..11")
@@ -86,7 +85,8 @@ def w_even(d: int) -> int:
         raise AssertionError(f"w_even({d}) evaluated to non-integer {value}")
     result = int(value)
     w1, w2, w3 = w_even_parts(d)
-    assert result == w1 - (d - 1) * w2 + w3
+    if result != w1 - (d - 1) * w2 + w3:
+        raise AssertionError(f"w_even({d}) disagrees with its inclusion-exclusion parts")
     return result
 
 
@@ -111,12 +111,16 @@ def _conjugacy_classes(k: int) -> list[tuple[Perm, int]]:
 
 def _count_block(k: int, fixed: tuple[Perm, ...], depth: int) -> int:
     """Forbidden matrices whose first rows are `fixed`, with `depth` free rows."""
-    perms = list(itertools.permutations(range(1, k + 1)))
-    count = 0
-    for rest in itertools.product(perms, repeat=depth):
-        if not has_perfect_matching(admissible_masks(fixed + rest, k)):
-            count += 1
-    return count
+    full = (1 << k) - 1
+    cols = [0] * k
+    for row in fixed:
+        for j, c in enumerate(row):
+            cols[j] |= 1 << (c - 1)
+
+    def unextendable(state: list[int]) -> int:
+        return 0 if has_perfect_matching([full & ~used for used in state]) else 1
+
+    return _count_rows(k, cols, depth, unextendable, {}, avoid=False)
 
 
 def forbidden_count_brute(
@@ -131,12 +135,16 @@ def forbidden_count_brute(
     Relabeling all colours and all positions by the same permutation
     preserves unextendability, so the first row is fixed to the identity and
     the block count multiplied by k!.  With ``use_class_reduction`` (the
-    default for d >= 4) the second row is additionally restricted to one
+    default for d >= 3) the second row is additionally restricted to one
     representative per conjugacy class, weighting each block by the class
     size: simultaneous conjugation of all rows fixes the identity first row
-    and again preserves unextendability.  Both reductions are exact and are
-    cross-checked against the plain enumeration in the tests.  With
-    ``workers`` > 1 the class blocks are counted in a process pool.
+    and again preserves unextendability.  Each block is counted by
+    ``latin._count_rows``, memoized per block on the multiset of column
+    masks (relabeling positions alone also preserves unextendability); the
+    full matrices are still judged one by one.  The reductions and the memo
+    are exact and are cross-checked against a plain enumeration in the
+    tests.  With ``workers`` > 1 the class blocks are counted in a process
+    pool.
     """
     if d < 1 or k < 1:
         raise ValueError("need d, k >= 1")
@@ -145,7 +153,7 @@ def forbidden_count_brute(
         # a single row: extendable iff a derangement pattern exists, i.e. k >= 2
         return kf if k == 1 else 0
     if use_class_reduction is None:
-        use_class_reduction = d >= 4
+        use_class_reduction = d >= 3
     free_rows = d - 1
     cost = kf**free_rows if not use_class_reduction else len(_conjugacy_classes(k)) * kf ** (free_rows - 1)
     if cost > max_matrices:

@@ -122,6 +122,9 @@ def perm_to_str(p: Perm) -> str:
 
 
 def perm_from_str(s: str) -> Perm:
+    """Parse the serialized form; ValueError for anything else, a non-string included."""
+    if not isinstance(s, str):
+        raise ValueError(f"permutation must be a string like '(2,1,3)', got {s!r}")
     text = s.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError(f"permutation must look like '(2,1,3)', got {s!r}")

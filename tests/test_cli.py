@@ -116,6 +116,30 @@ def test_verify_malformed_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_decide_non_string_permutation_is_input_error(tmp_path, capsys):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(
+        {"version": 1, "kind": "correspondence_cover", "d": 1, "t": 1, "k": 2, "sigma": [[12]]}
+    ))
+    code, _, err = run(capsys, "decide", "--cover", str(path))
+    assert code == 2
+    assert "malformed cover" in err and "Traceback" not in err
+
+
+def test_verify_integer_witness_entry_is_input_error(tmp_path, capsys):
+    cover_path, cert_path = tmp_path / "cover.json", tmp_path / "cert.json"
+    save_json(standard_cover(2, 2, 3).to_json_dict(), str(cover_path))
+    code, _, _ = run(capsys, "decide", "--cover", str(cover_path), "--out", str(cert_path))
+    assert code == 0
+    data = json.loads(cert_path.read_text())
+    assert data["claim"] == "packing_witness"
+    data["witness"]["u_rows"][0] = 123
+    cert_path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 2
+    assert "malformed witness" in err and "Traceback" not in err
+
+
 def test_hunt_finds_and_writes_reproducible_certificates(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["hunt", "--d", "2", "--k", "3", "--t", "2", "--seed", "5",

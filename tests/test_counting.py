@@ -1,9 +1,14 @@
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import packlab
 from packlab.counting import (
     estimate_bound,
     estimate_bound_first_order,
@@ -19,6 +24,7 @@ from packlab.counting import (
     y_ratio,
 )
 from packlab.errors import ResourceLimitError
+from packlab.packing import PackingMatrix, brute_force_extension
 
 
 def test_w_odd_values():
@@ -36,6 +42,25 @@ def test_w_even_inclusion_exclusion_pieces():
     for d in range(3, 8):
         w1, w2, w3 = w_even_parts(d)
         assert w_even(d) == w1 - (d - 1) * w2 + w3
+
+
+def test_w_even_check_survives_optimize_flag():
+    # python -O strips assert statements; the inclusion-exclusion check must still run
+    script = (
+        "import sys\n"
+        "import packlab.counting as counting\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(4)\n"
+        "counting.w_even_parts = lambda d: (0, 0, 0)\n"
+        "try:\n"
+        "    counting.w_even(4)\n"
+        "except AssertionError:\n"
+        "    sys.exit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(packlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    assert proc.returncode == 3
 
 
 def test_domain_checks():
@@ -58,6 +83,32 @@ def test_brute_force_class_reduction_is_exact():
         plain = forbidden_count_brute(d, k, use_class_reduction=False)
         reduced = forbidden_count_brute(d, k, use_class_reduction=True)
         assert plain == reduced
+
+
+def _plain_forbidden_count(d: int, k: int, pin_first_row: bool) -> int:
+    """Unextendable d x k matrices, each judged by brute_force_extension.
+
+    With pin_first_row only matrices whose first row is the identity are
+    judged and the count is multiplied by k! (relabeling positions and
+    colours alike); the pin is checked against the full product below.
+    """
+    perms = list(itertools.permutations(range(1, k + 1)))
+    firsts = [perms[0]] if pin_first_row else perms
+    count = sum(
+        brute_force_extension(PackingMatrix(k, (first,) + rest)) is None
+        for first in firsts
+        for rest in itertools.product(perms, repeat=d - 1)
+    )
+    return count * math.factorial(k) if pin_first_row else count
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 5), (4, 4)])
+def test_brute_force_counts_match_plain_enumeration(d, k):
+    plain = _plain_forbidden_count(d, k, pin_first_row=True)
+    if math.factorial(k) ** d <= 24**3:  # the whole product is affordable
+        assert _plain_forbidden_count(d, k, pin_first_row=False) == plain
+    for reduce in (False, True):
+        assert forbidden_count_brute(d, k, use_class_reduction=reduce) == plain
 
 
 def test_brute_force_single_row():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -57,6 +58,38 @@ def test_rectangle_square_bijection():
         assert count_latin_rectangles(n - 1, n) == count_latin_squares(n)
 
 
+def _plain_rectangle_counts(n: int) -> list[int]:
+    """[#r x n Latin rectangles for r = 1..n] by visiting every rectangle.
+
+    Rows are appended one at a time from itertools.permutations, each
+    differing from every earlier row in every position; no symmetry and no
+    memo, so this is the oracle for the memoized enumerator.
+    """
+    perms = list(itertools.permutations(range(n)))
+    discordant = {p: {q for q in perms if all(a != b for a, b in zip(p, q))} for p in perms}
+    counts = [0] * n
+
+    def extend(candidates, r):
+        counts[r] += len(candidates)
+        if r + 1 < n:
+            for p in candidates:
+                extend(candidates & discordant[p], r + 1)
+
+    extend(set(perms), 0)
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rectangle_counts_match_plain_enumeration(n):
+    plain = _plain_rectangle_counts(n)
+    assert [count_latin_rectangles(r, n) for r in range(1, n + 1)] == plain
+    if n <= 3:  # small enough to filter all r-tuples of rows directly
+        perms = list(itertools.permutations(range(n)))
+        for r in range(1, n + 1):
+            tuples = itertools.product(perms, repeat=r)
+            assert plain[r - 1] == sum(all(len(set(c)) == r for c in zip(*t)) for t in tuples)
+
+
 def test_rejections():
     with pytest.raises(ResourceLimitError):
         count_latin_squares(12)
@@ -73,6 +106,5 @@ def test_table_serves_large_orders():
     assert count_latin_squares(11) == LATIN_SQUARE_COUNTS[11]
 
 
-@pytest.mark.long
 def test_order_six_by_enumeration():
     assert count_latin_squares(6) == 812851200

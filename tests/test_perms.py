@@ -136,3 +136,6 @@ def test_serialization_round_trip():
         perm_from_str("2,1,3")
     with pytest.raises(ValueError):
         perm_from_str("(2,2,3)")
+    for not_text in (12, None, [2, 1, 3], (2, 1, 3)):
+        with pytest.raises(ValueError):
+            perm_from_str(not_text)
