@@ -8,13 +8,14 @@ matrices (rows 2 and 3 permuted); a list on the V side blocks the matrices
 admitting no permutation of that list deranging all three rows.  The
 instance is unpackable iff the V lists jointly block all 36 candidates, so
 exact list-packing thresholds reduce to minimum set-cover questions over
-blocked-candidate masks, which this module solves exactly.
+blocked-candidate masks, which ``blocking.min_cover_size`` solves exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from .blocking import min_cover_size
 from .covers import ListAssignment, make_assignment
 from .errors import ResourceLimitError
 from .packing import has_perfect_matching, list_masks
@@ -62,36 +63,29 @@ def canonical_triple(lists) -> tuple[tuple[int, ...], ...]:
     assign fresh labels in first-use order, of the tuple of sorted label
     rows.  Two triples get the same form iff a colour bijection plus a
     vertex permutation maps one to the other.
+
+    For a vertex order (A, B, C) the minimum is set by the Venn-region
+    sizes alone: A takes 1..|A| with A∩B first, B∖A takes the next labels,
+    and C's row is the least labels of each of its four regions.
     """
     rows_in = [frozenset(lst) for lst in lists]
     if len(rows_in) != 3:
         raise ValueError("need exactly three lists")
-    best: tuple | None = None
 
-    def descend(order, ri, labmap, nextlab, code):
-        nonlocal best
-        if ri == 3:
-            if best is None or code < best:
-                best = code
-            return
-        row = rows_in[order[ri]]
-        unknown = sorted(c for c in row if c not in labmap)
-        for perm in itertools.permutations(unknown):
-            lm = dict(labmap)
-            nl = nextlab
-            for c in perm:
-                lm[c] = nl
-                nl += 1
-            row_code = tuple(sorted(lm[c] for c in row))
-            new_code = code + (row_code,)
-            if best is not None and new_code > best[: len(new_code)]:
-                continue
-            descend(order, ri + 1, lm, nl, new_code)
+    def labels(start: int, count: int) -> tuple[int, ...]:
+        return tuple(range(start, start + count))
 
-    for order in itertools.permutations(range(3)):
-        descend(order, 0, {}, 1, ())
-    assert best is not None
-    return best
+    forms = []
+    for a, b, c in itertools.permutations(rows_in):
+        na, nab, nb_new = len(a), len(a & b), len(b - a)
+        row_c = (
+            labels(1, len(a & b & c))
+            + labels(nab + 1, len((a & c) - b))
+            + labels(na + 1, len((b & c) - a))
+            + labels(na + nb_new + 1, len(c - a - b))
+        )
+        forms.append((labels(1, na), labels(1, nab) + labels(na + 1, nb_new), row_c))
+    return min(forms)
 
 
 def enumerate_triple_types(k: int, allow_repeats: bool = False) -> list[tuple[tuple[int, ...], ...]]:
@@ -147,13 +141,30 @@ def _arrangements(u_lists) -> list[tuple[tuple[int, ...], ...]]:
     return [(first,) + combo for combo in itertools.product(*rest)]
 
 
-def _effective_lists(u_lists, k: int) -> list[tuple[int, ...]]:
+def _effective_lists(u_lists) -> list[tuple[int, ...]]:
     """All k-lists that can differ in blocking power: subsets of the used
     colours padded with fresh ones (fresh colours never constrain)."""
+    k = len(u_lists[0])
     used = sorted(set().union(*map(set, u_lists)))
     top = max(used)
     fresh = list(range(top + 1, top + 1 + k))
     return [tuple(sorted(c)) for c in itertools.combinations(used + fresh, k)]
+
+
+def _block_masks(u_lists, targets_of, blocks) -> tuple[list, dict[tuple[int, ...], int]]:
+    """(targets, mask per effective list) over the sorted lists; bit m is set
+    when blocks(targets[m], list).  Lists with zero mask are dropped."""
+    u_sorted = [tuple(sorted(lst)) for lst in u_lists]
+    targets = targets_of(u_sorted)
+    masks: dict[tuple[int, ...], int] = {}
+    for lst in _effective_lists(u_sorted):
+        mask = 0
+        for m, target in enumerate(targets):
+            if blocks(target, lst):
+                mask |= 1 << m
+        if mask:
+            masks[lst] = mask
+    return targets, masks
 
 
 def packing_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
@@ -163,94 +174,31 @@ def packing_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int,
     permutation of the list is a common derangement of its rows).  Lists
     with zero mask are dropped.
     """
-    u_sorted = [tuple(sorted(lst)) for lst in u_lists]
-    k = len(u_sorted[0])
-    arrangements = _arrangements(u_sorted)
-    masks: dict[tuple[int, ...], int] = {}
-    for lst in _effective_lists(u_sorted, k):
-        mask = 0
-        for m, rows in enumerate(arrangements):
-            if not check_case_matrix(rows, lst):
-                mask |= 1 << m
-        if mask:
-            masks[lst] = mask
-    return arrangements, masks
+    return _block_masks(u_lists, _arrangements, lambda rows, lst: not check_case_matrix(rows, lst))
 
 
 def colouring_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
     """Masks for the single-colouring problem: colourings of U are the
     products of the lists; a list blocks a colouring iff it is contained in
     the colouring's value set."""
-    u_sorted = [tuple(sorted(lst)) for lst in u_lists]
-    k = len(u_sorted[0])
-    colourings = list(itertools.product(*u_sorted))
-    masks: dict[tuple[int, ...], int] = {}
-    for lst in _effective_lists(u_sorted, k):
-        need = set(lst)
-        mask = 0
-        for m, col in enumerate(colourings):
-            if need <= set(col):
-                mask |= 1 << m
-        if mask:
-            masks[lst] = mask
-    return colourings, masks
+    return _block_masks(
+        u_lists, lambda u: list(itertools.product(*u)), lambda col, lst: set(lst) <= set(col)
+    )
 
 
-def min_cover_size(masks: list[int], n_targets: int, limit: int) -> int | None:
-    """Minimum number of masks whose union covers all n_targets bits.
-
-    Exact branch and bound: dominated masks are dropped, branching happens
-    on the uncovered bit with the fewest useful covering masks, and a node
-    is cut when even the fattest remaining picks cannot close the deficit.
-    Returns the minimum if it is <= limit, else None (which also covers the
-    case where some bit is covered by no mask at all).
-    """
-    full = (1 << n_targets) - 1
-    ordered = sorted(set(masks), key=lambda m: -m.bit_count())
-    maximal: list[int] = []
-    for m in ordered:
-        if not any(m | o == o for o in maximal):
-            maximal.append(m)
-    union_all = 0
-    for m in maximal:
-        union_all |= m
-    if union_all != full:
-        return None
-    pop_prefix = [0]
-    for m in maximal:
-        pop_prefix.append(pop_prefix[-1] + m.bit_count())
+def _list_threshold(k: int, limit: int, block_masks) -> int | None:
+    """Least exact cover number, at most ``limit``, over every isomorphism
+    type of k-list triples (repeated lists included); None when no type can
+    be fully blocked within the limit."""
     best: int | None = None
-
-    def dfs(acc: int, picks: int) -> None:
-        nonlocal best
-        if acc == full:
-            if best is None or picks < best:
-                best = picks
-            return
-        bound = best - 1 if best is not None else limit
-        left = bound - picks
-        if left <= 0:
-            return
-        uncovered = full & ~acc
-        if uncovered.bit_count() > pop_prefix[min(left, len(maximal))]:
-            return
-        # branch on the uncovered bit with the fewest useful covers
-        branch: list[int] | None = None
-        u = uncovered
-        while u:
-            bit = u & -u
-            u ^= bit
-            covers = [m for m in maximal if m & bit]
-            if branch is None or len(covers) < len(branch):
-                branch = covers
-                if len(branch) <= 1:
-                    break
-        assert branch is not None
-        branch.sort(key=lambda m: -(m & uncovered).bit_count())
-        for m in branch:
-            dfs(acc | m, picks + 1)
-
-    dfs(0, 0)
+    for triple in enumerate_triple_types(k, allow_repeats=True):
+        targets, masks = block_masks(triple)
+        cur_limit = limit if best is None else best - 1
+        if cur_limit < 1:
+            break
+        size = min_cover_size(list(masks.values()), len(targets), cur_limit)
+        if size is not None and (best is None or size < best):
+            best = size
     return best
 
 
@@ -261,30 +209,12 @@ def list_packing_threshold(k: int, limit: int = 12) -> int | None:
     triples (repeated lists included).  None when no type can be fully
     blocked within ``limit`` vertices.
     """
-    best: int | None = None
-    for triple in enumerate_triple_types(k, allow_repeats=True):
-        arrangements, masks = packing_block_masks(triple)
-        cur_limit = limit if best is None else best - 1
-        if cur_limit < 1:
-            break
-        size = min_cover_size(list(masks.values()), len(arrangements), cur_limit)
-        if size is not None and (best is None or size < best):
-            best = size
-    return best
+    return _list_threshold(k, limit, packing_block_masks)
 
 
 def list_colouring_threshold(k: int, limit: int = 30) -> int | None:
     """Least t admitting an uncolourable k-assignment on a 3-vertex small side."""
-    best: int | None = None
-    for triple in enumerate_triple_types(k, allow_repeats=True):
-        colourings, masks = colouring_block_masks(triple)
-        cur_limit = limit if best is None else best - 1
-        if cur_limit < 1:
-            break
-        size = min_cover_size(list(masks.values()), len(colourings), cur_limit)
-        if size is not None and (best is None or size < best):
-            best = size
-    return best
+    return _list_threshold(k, limit, colouring_block_masks)
 
 
 def _arrangement_blockable(rows, k: int) -> bool:
@@ -301,16 +231,6 @@ def _arrangement_blockable(rows, k: int) -> bool:
             if len(inter) >= k - r + 1:
                 return True
     return False
-
-
-def _safe_arrangement_exists(u_lists, k: int) -> bool:
-    """True iff some arrangement of the lists is blocked by no k-list at all.
-
-    Used for the fold k = 4 ceiling: when every type has such an
-    arrangement, no 4-assignment on a 3-vertex small side is ever
-    unpackable, whatever the other side looks like.
-    """
-    return any(not _arrangement_blockable(rows, k) for rows in _arrangements(u_lists))
 
 
 def chi_l_exact(a: int, b: int) -> int:
@@ -330,7 +250,8 @@ def chi_l_exact(a: int, b: int) -> int:
         raise ResourceLimitError(f"chi_l_exact supports a 3-vertex side, got K_{{{a},{b}}}")
     m2 = list_colouring_threshold(2)
     m3 = list_colouring_threshold(3)
-    assert m2 is not None and m3 is not None
+    if m2 is None or m3 is None:
+        raise AssertionError("a list colouring threshold exceeds its search limit")
     if t < m2:
         return 2
     if t < m3:
@@ -353,14 +274,17 @@ def chi_l_star_exact(a: int, b: int, limit: int = 12) -> int:
     else:
         raise ResourceLimitError(f"chi_l_star_exact supports a 3-vertex side, got K_{{{a},{b}}}")
     m2 = list_packing_threshold(2)
-    assert m2 is not None
+    if m2 is None:
+        raise AssertionError("the fold-2 list packing threshold exceeds its search limit")
     if t < m2:
         return 2
     m3 = list_packing_threshold(3, limit=min(limit, t))
     if m3 is None or t < m3:
         return 3
+    # a type with an arrangement no 4-list blocks is never unpackable,
+    # whatever the other side looks like
     for triple in enumerate_triple_types(4, allow_repeats=True):
-        if not _safe_arrangement_exists(triple, 4):
+        if all(_arrangement_blockable(rows, 4) for rows in _arrangements(triple)):
             raise AssertionError(f"fold-4 ceiling fails for type {triple}")
     return 4
 

@@ -239,13 +239,14 @@ def classify_obstructions(matrix: PackingMatrix) -> ObstructionReport:
         for j in range(k):
             if subset >> j & 1:
                 nbhd |= adm[j]
-        deficiency = len(positions) - bin(nbhd).count("1")
+        deficiency = len(positions) - nbhd.bit_count()
         if deficiency <= 0:
             continue
         key = (-deficiency, len(positions), positions, nbhd)
         if best is None or key < best:
             best = key
-    assert best is not None  # guaranteed: the matrix is forbidden
+    if best is None:
+        raise AssertionError("a forbidden matrix has no Hall violator")
     _, _, positions, nbhd = best
     colours = tuple(c + 1 for c in range(k) if nbhd >> c & 1)
     kind = (len(positions), len(colours))

@@ -7,21 +7,25 @@ simultaneously permutes all colour vectors the same way, so the first U
 vector may be pinned to the identity; deciders therefore scan (k!)^(d-1)
 candidates and run one matching check per vertex of V.
 
-Cover constructions work in the same reduced space: with the first U row
-pinned, a combination of matchings at a new vertex blocks the candidate
-matrices whose transported rows land in the precomputed set of unextendable
-matrices; the greedy constructor always picks the combination blocking the
-most survivors, and the randomized search hill-climbs on the number of
-survivors.
+Cover constructions work in the same reduced space; they are thin callers
+of ``blocking``, which builds the column masks and solves the set covers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
+from .blocking import (
+    colouring_masks,
+    column_space,
+    cover_from_columns,
+    first_multiset_cover,
+    greedy_cover,
+    hill_climb_cover,
+    packing_masks,
+)
 from .covers import (
     CorrespondenceCover,
     ListAssignment,
@@ -29,13 +33,8 @@ from .covers import (
     list_to_partial_cover,
 )
 from .errors import BudgetExceededError, ResourceLimitError
-from .packing import (
-    admissible_masks,
-    has_perfect_matching,
-    lex_smallest_system,
-    transported_masks,
-)
-from .perms import Perm, compose, identity
+from .packing import has_perfect_matching, lex_smallest_system, transported_masks
+from .perms import identity
 
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
 
@@ -223,72 +222,8 @@ def decide_list_colouring(
 
 
 # ---------------------------------------------------------------------------
-# reduced-space machinery shared by the cover constructors
+# cover construction in the reduced space
 # ---------------------------------------------------------------------------
-
-
-class _ReducedSpace:
-    """Canonical candidate matrices and matching combinations for (d, k).
-
-    Matrices and combinations are both (d-1)-tuples of permutations (the
-    first row / first matching is pinned to the identity); both are indexed
-    by the same mixed-radix code, so index order is lexicographic order.
-    ``combo_masks[c]`` is the bitmask, over matrix indices, of the matrices
-    blocked when combination c is placed at a new vertex.
-    """
-
-    def __init__(self, d: int, k: int, cap: int = DEFAULT_CONSTRUCTION_CAP):
-        if d < 2:
-            raise ValueError("need d >= 2")
-        self.d, self.k = d, k
-        perms = list(itertools.permutations(range(1, k + 1)))
-        self.perms = perms
-        self.nperm = len(perms)
-        self.size = self.nperm ** (d - 1)
-        if self.size > cap:
-            raise ResourceLimitError(
-                f"reduced space (k!)^(d-1) = {self.size} exceeds cap {cap}"
-            )
-        index_of = {p: i for i, p in enumerate(perms)}
-        # composition table: comp[a][b] = index of perms[a] . perms[b]
-        comp = [[index_of[compose(pa, pb)] for pb in perms] for pa in perms]
-        self.full_mask = (1 << self.size) - 1
-
-        ident = identity(k)
-        f_mask = 0
-        for idx, rest in enumerate(itertools.product(perms, repeat=d - 1)):
-            if not has_perfect_matching(admissible_masks((ident,) + rest, k)):
-                f_mask |= 1 << idx
-        self.forbidden_mask = f_mask
-        self.forbidden_count = bin(f_mask).count("1")
-
-        # combo c blocks matrix m iff the componentwise composition lands in
-        # the forbidden set: mask_c = { m : (c_i . m_i)_i in F }.
-        radix = [self.nperm] * (d - 1)
-        codes = list(itertools.product(range(self.nperm), repeat=d - 1))
-        self.codes = codes
-        masks = []
-        for combo in codes:
-            mask = 0
-            for m_idx, matrix in enumerate(codes):
-                t_idx = 0
-                for ci, mi in zip(combo, matrix):
-                    t_idx = t_idx * self.nperm + comp[ci][mi]
-                if f_mask >> t_idx & 1:
-                    mask |= 1 << m_idx
-            masks.append(mask)
-        self.combo_masks = masks
-
-    def combo_matchings(self, combo_index: int) -> tuple[Perm, ...]:
-        """The d matchings of a combination (identity first)."""
-        return (identity(self.k),) + tuple(self.perms[i] for i in self.codes[combo_index])
-
-    def cover_from_combos(self, combo_indices: list[int]) -> CorrespondenceCover:
-        columns = [self.combo_matchings(c) for c in combo_indices]
-        sigma = tuple(
-            tuple(columns[j][i] for j in range(len(columns))) for i in range(self.d)
-        )
-        return CorrespondenceCover(k=self.k, sigma=sigma)
 
 
 def greedy_unpackable_cover(
@@ -305,24 +240,11 @@ def greedy_unpackable_cover(
     Returns the cover and the trace [X_0, X_1, ..., 0] of survivor counts in
     the reduced space.
     """
-    space = _ReducedSpace(d, k, cap=cap)
-    if space.forbidden_count == 0:
+    masks = packing_masks(d, k, cap)
+    if masks[0] == 0:
         raise ValueError(f"no unextendable matrices exist for d={d}, k={k}")
-    survivors = space.full_mask
-    trace = [space.size]
-    chosen: list[int] = []
-    while survivors:
-        best_count = -1
-        best_combo = -1
-        for c, mask in enumerate(space.combo_masks):
-            cnt = bin(survivors & mask).count("1")
-            if cnt > best_count:
-                best_count = cnt
-                best_combo = c
-        survivors &= ~space.combo_masks[best_combo]
-        chosen.append(best_combo)
-        trace.append(bin(survivors).count("1"))
-    return space.cover_from_combos(chosen), trace
+    picks, trace = greedy_cover(masks, len(masks))
+    return cover_from_columns(column_space(d, k), picks), trace
 
 
 def random_unpackable_cover_search(
@@ -335,63 +257,20 @@ def random_unpackable_cover_search(
 ) -> CorrespondenceCover | None:
     """Hill-climbing search for an unpackable cover with exactly t_target vertices.
 
-    State: one matching combination per vertex.  Objective: number of
-    candidate matrices blocked by no vertex.  Moves replace the combination
-    at one vertex by the best alternative (steepest descent, round-robin over
-    vertices); stuck states trigger a seeded restart.  Returns a cover with
-    objective zero, or None when the candidate budget (or time limit) runs
-    out.  Fixed (seed, budget) gives a fixed outcome.  The search runs in
-    one thread; ``workers`` is accepted for compatibility and the result
+    One canonical column per vertex, improved by ``blocking.hill_climb_cover``
+    on the number of candidate matrices blocked by no vertex.  Returns a
+    cover blocking them all, or None when the candidate budget (or time
+    limit) runs out.  Fixed (seed, budget) gives a fixed outcome.  The search runs
+    in one thread; ``workers`` is accepted for compatibility and the result
     never depends on it.
     """
-    import random
-
-    space = _ReducedSpace(d, k, cap=cap)
-    masks = space.combo_masks
-    nc = len(masks)
-    full = space.full_mask
-    rng = random.Random(budget.seed)
-    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    evaluations = 0
-    max_evals = budget.max_candidates
-
-    def best_replacement(base: int) -> tuple[int, int]:
-        """(survivor count, combo index), minimized over every combination."""
-        uncovered = full & ~base
-        return min(((uncovered & ~m).bit_count(), c) for c, m in enumerate(masks))
-
-    while True:
-        state = [rng.randrange(nc) for _ in range(t_target)]
-        while True:
-            if deadline is not None and time.monotonic() > deadline:
-                return None
-            improved = False
-            for v in range(t_target):
-                base = 0
-                for w, c in enumerate(state):
-                    if w != v:
-                        base |= masks[c]
-                if max_evals is not None:
-                    if evaluations + nc > max_evals:
-                        return None
-                    evaluations += nc
-                current = (full & ~(base | masks[state[v]])).bit_count()
-                cnt, combo = best_replacement(base)
-                if cnt < current:
-                    state[v] = combo
-                    improved = True
-            objective = (full & ~_or_masks(masks, state)).bit_count()
-            if objective == 0:
-                return space.cover_from_combos(state)
-            if not improved:
-                break  # local minimum: restart
-
-
-def _or_masks(masks: list[int], state: list[int]) -> int:
-    acc = 0
-    for c in state:
-        acc |= masks[c]
-    return acc
+    if t_target < 1:
+        raise ValueError("need t_target >= 1")
+    masks = packing_masks(d, k, cap)
+    picks = hill_climb_cover(
+        masks, len(masks), t_target, budget.seed, budget.max_candidates, budget.max_seconds
+    )
+    return None if picks is None else cover_from_columns(column_space(d, k), picks)
 
 
 # ---------------------------------------------------------------------------
@@ -399,27 +278,6 @@ def _or_masks(masks: list[int], state: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 DEFAULT_ENUMERATION_WORK = 20_000_000
-
-
-def _column_type_masks(d: int, k: int) -> list[int]:
-    """Blocked-colouring masks of the (k!)^(d-1) canonical column types.
-
-    A column type is the tuple of matchings (identity, s_2, ..., s_d) at one
-    V vertex; its mask has bit set for every U colouring (a_1..a_d), coded in
-    base k, whose transported colours exhaust {1..k}.
-    """
-    perms = list(itertools.permutations(range(1, k + 1)))
-    ident = identity(k)
-    masks = []
-    for rest in itertools.product(perms, repeat=d - 1):
-        sigmas = (ident,) + rest
-        mask = 0
-        for code, colours in enumerate(itertools.product(range(1, k + 1), repeat=d)):
-            used = {sigmas[i][colours[i] - 1] for i in range(d)}
-            if len(used) == k:
-                mask |= 1 << code
-        masks.append(mask)
-    return masks
 
 
 def find_uncolourable_cover(
@@ -436,34 +294,15 @@ def find_uncolourable_cover(
     """
     if d < 2 or t < 1:
         raise ValueError("need d >= 2 and t >= 1")
-    masks = _column_type_masks(d, k)
-    n_types = len(masks)
-    n_multisets = math.comb(n_types + t - 2, t - 1)
+    n_multisets = math.comb(math.factorial(k) ** (d - 1) + t - 2, t - 1)
     if n_multisets > max_work:
         raise ResourceLimitError(
             f"{n_multisets} canonical covers exceed the work cap {max_work}"
         )
-    full = (1 << (k**d)) - 1
-    first = masks[0]  # all-identity column
-    if first == full and t >= 1:
-        combo: tuple[int, ...] = tuple([0] * (t - 1))
-        return _cover_from_types(d, k, combo)
-    for combo in itertools.combinations_with_replacement(range(n_types), t - 1):
-        acc = first
-        for c in combo:
-            acc |= masks[c]
-        if acc == full:
-            return _cover_from_types(d, k, combo)
-    return None
-
-
-def _cover_from_types(d: int, k: int, combo: tuple[int, ...]) -> CorrespondenceCover:
-    perms = list(itertools.permutations(range(1, k + 1)))
-    ident = identity(k)
-    types = list(itertools.product(perms, repeat=d - 1))
-    columns = [(ident,) * d] + [(ident,) + types[c] for c in combo]
-    sigma = tuple(tuple(col[i] for col in columns) for i in range(d))
-    return CorrespondenceCover(k=k, sigma=sigma)
+    masks = colouring_masks(d, k)
+    # column 0 (all identities) is pinned at the first vertex
+    rest = first_multiset_cover(masks, k**d, t - 1, masks[0])
+    return None if rest is None else cover_from_columns(column_space(d, k), (0,) + rest)
 
 
 def surjection_count(d: int, k: int) -> int:
@@ -525,25 +364,9 @@ def chi_c_star_exact(a: int, b: int, max_work: int = 200_000) -> int:
             raise ResourceLimitError(
                 f"canonical cover scan for k={k} needs ~{n_covers * n_candidates} decisions"
             )
-        if _all_canonical_covers_packable(d, t, k):
+        columns = column_space(d, k)
+        if all(
+            decide_correspondence_packing(cover_from_columns(columns, (0,) + rest)) is not None
+            for rest in itertools.product(range(len(columns)), repeat=t - 1)
+        ):
             return k
-
-
-def _all_canonical_covers_packable(d: int, t: int, k: int) -> bool:
-    perms = list(itertools.permutations(range(1, k + 1)))
-    ident = identity(k)
-    free = (d - 1) * (t - 1)
-    for entries in itertools.product(perms, repeat=free):
-        sigma_rows = []
-        for i in range(d):
-            row = []
-            for j in range(t):
-                if i == 0 or j == 0:
-                    row.append(ident)
-                else:
-                    row.append(entries[(i - 1) * (t - 1) + (j - 1)])
-            sigma_rows.append(tuple(row))
-        cover = CorrespondenceCover(k=k, sigma=tuple(sigma_rows))
-        if decide_correspondence_packing(cover) is None:
-            return False
-    return True

@@ -1,0 +1,107 @@
+import itertools
+
+import pytest
+
+from packlab.blocking import (
+    colouring_masks,
+    column_space,
+    cover_from_columns,
+    first_multiset_cover,
+    greedy_cover,
+    hill_climb_cover,
+    packing_masks,
+)
+from packlab.errors import ResourceLimitError
+from packlab.packing import admissible_masks, has_perfect_matching
+from packlab.perms import compose, identity
+
+
+def plain_packing_masks(d, k):
+    """O(size^2) reference: column c blocks matrix m iff the transported
+    matrix (identity, c_2.m_2, ..., c_d.m_d) is unextendable."""
+    perms = list(itertools.permutations(range(1, k + 1)))
+    index_of = {p: i for i, p in enumerate(perms)}
+    comp = [[index_of[compose(a, b)] for b in perms] for a in perms]
+    codes = list(itertools.product(range(len(perms)), repeat=d - 1))
+    forbidden = {
+        code
+        for code in codes
+        if not has_perfect_matching(
+            admissible_masks((identity(k),) + tuple(perms[i] for i in code), k)
+        )
+    }
+    masks = []
+    for combo in codes:
+        mask = 0
+        for m, matrix in enumerate(codes):
+            if tuple(comp[c][x] for c, x in zip(combo, matrix)) in forbidden:
+                mask |= 1 << m
+        masks.append(mask)
+    return masks
+
+
+def plain_colouring_masks(d, k):
+    """Reference: a column blocks the colouring (a_1..a_d) iff its
+    transported colours exhaust {1..k}."""
+    masks = []
+    for column in column_space(d, k):
+        mask = 0
+        for code, colours in enumerate(itertools.product(range(1, k + 1), repeat=d)):
+            if len({column[i][colours[i] - 1] for i in range(d)}) == k:
+                mask |= 1 << code
+        masks.append(mask)
+    return masks
+
+
+def test_column_space_order():
+    columns = column_space(3, 3)
+    perms = list(itertools.permutations((1, 2, 3)))
+    assert columns == [(identity(3), a, b) for a in perms for b in perms]
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (3, 4), (4, 3), (5, 3)])
+def test_packing_masks_match_plain_reference(d, k):
+    assert packing_masks(d, k, 20_000) == plain_packing_masks(d, k)
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
+def test_colouring_masks_match_plain_reference(d, k):
+    assert colouring_masks(d, k) == plain_colouring_masks(d, k)
+
+
+def test_packing_masks_refuse_oversized_or_degenerate_spaces():
+    with pytest.raises(ResourceLimitError):
+        packing_masks(3, 4, 575)
+    with pytest.raises(ValueError):
+        packing_masks(1, 3, 20_000)
+
+
+def test_cover_from_columns_places_one_column_per_vertex():
+    columns = column_space(2, 3)
+    cover = cover_from_columns(columns, [0, 5, 5])
+    assert cover.t == 3 and cover.d == 2 and cover.k == 3
+    assert [cover.column(j) for j in range(3)] == [columns[0], columns[5], columns[5]]
+
+
+def test_greedy_cover_breaks_ties_to_the_smallest_index():
+    picks, trace = greedy_cover([0b0011, 0b1100, 0b0110, 0b1001], 4)
+    assert picks == [0, 1]
+    assert trace == [4, 2, 0]
+    with pytest.raises(ValueError):
+        greedy_cover([0b01], 2)  # target 1 is covered by no mask
+
+
+def test_first_multiset_cover_is_lexicographically_first():
+    masks = [0b000, 0b001, 0b010, 0b110]
+    assert first_multiset_cover(masks, 3, 2, 0) == (1, 3)
+    assert first_multiset_cover(masks, 3, 1, 0b001) == (3,)
+    assert first_multiset_cover(masks, 3, 1, 0) is None
+    assert first_multiset_cover(masks, 3, 0, 0b111) == ()
+
+
+def test_hill_climb_cover_finds_a_cover_or_exhausts_its_budget():
+    masks = [0b0011, 0b0110, 0b1100, 0b1000, 0b0001]
+    picks = hill_climb_cover(masks, 4, 2, seed=0, max_evals=10_000, max_seconds=None)
+    assert picks is not None and len(picks) == 2
+    assert masks[picks[0]] | masks[picks[1]] == 0b1111
+    assert hill_climb_cover(masks, 4, 1, seed=0, max_evals=1_000, max_seconds=None) is None

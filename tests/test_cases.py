@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -20,12 +21,50 @@ from packlab.cases import (
     k65_assignment,
     list_colouring_threshold,
     list_packing_threshold,
-    min_cover_size,
     packing_block_masks,
     u_side_list_types,
 )
+from packlab.blocking import min_cover_size
 from packlab.errors import ResourceLimitError
 from packlab.search import decide_list_packing, verify_list_witness
+
+
+def brute_canonical_triple(lists):
+    """Oracle: minimum, over the six vertex orders and every first-use
+    relabeling of the colours, of the tuple of sorted label rows."""
+    rows_in = [frozenset(lst) for lst in lists]
+    best = None
+
+    def descend(order, ri, labmap, nextlab, code):
+        nonlocal best
+        if ri == 3:
+            if best is None or code < best:
+                best = code
+            return
+        row = rows_in[order[ri]]
+        unknown = sorted(c for c in row if c not in labmap)
+        for perm in itertools.permutations(unknown):
+            lm = dict(labmap)
+            nl = nextlab
+            for c in perm:
+                lm[c] = nl
+                nl += 1
+            new_code = code + (tuple(sorted(lm[c] for c in row)),)
+            if best is not None and new_code > best[: len(new_code)]:
+                continue
+            descend(order, ri + 1, lm, nl, new_code)
+
+    for order in itertools.permutations(range(3)):
+        descend(order, 0, {}, 1, ())
+    return best
+
+
+@pytest.mark.parametrize("k,n", [(1, 200), (2, 1000), (3, 1000), (4, 300)])
+def test_canonical_triple_matches_brute_force(k, n):
+    rng = random.Random(k)
+    for _ in range(n):
+        triple = [rng.sample(range(1, 2 * k + 3), k) for _ in range(3)]
+        assert canonical_triple(triple) == brute_canonical_triple(triple), triple
 
 
 def test_twelve_types_of_distinct_triples():
@@ -185,6 +224,25 @@ def test_list_witness_check_survives_optimize_flag():
         "search.verify_list_witness = lambda *args: False\n"
         "try:\n"
         "    search.decide_list_packing(a10_assignment())\n"
+        "except AssertionError:\n"
+        "    sys.exit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(packlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    assert proc.returncode == 3
+
+
+def test_threshold_checks_survive_optimize_flag():
+    # python -O strips assert statements; the threshold checks must still run
+    script = (
+        "import sys\n"
+        "import packlab.cases as cases\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(4)\n"
+        "cases.list_colouring_threshold = lambda *args, **kwargs: None\n"
+        "try:\n"
+        "    cases.chi_l_exact(3, 5)\n"
         "except AssertionError:\n"
         "    sys.exit(3)\n"
     )

@@ -181,6 +181,13 @@ def test_hunt_budget_exhaustion_exit_code(capsys):
     assert "no cover" in out
 
 
+def test_hunt_without_vertices_is_input_error(capsys):
+    # no seeded state can change with zero vertices, so the search would never end
+    code, _, err = run(capsys, "hunt", "--d", "2", "--k", "3", "--t", "0", "--seed", "1")
+    assert code == 2
+    assert "t_target" in err
+
+
 def test_chi_subcommand(capsys):
     code, out, _ = run(capsys, "chi", "--param", "c", "--a", "3", "--b", "5")
     assert code == 0 and out.strip() == "3"

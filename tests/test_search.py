@@ -1,14 +1,17 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from packlab.blocking import packing_masks
 from packlab.covers import canonicalize, k22_unpackable_cover, make_assignment, standard_cover
 from packlab.errors import BudgetExceededError, ResourceLimitError
-from packlab.perms import identity, is_derangement_of
+from packlab.certificates import make_certificate
+from packlab.perms import identity, is_derangement_of, perm_to_str
 from packlab.search import (
+    DEFAULT_CONSTRUCTION_CAP,
     SearchBudget,
-    _ReducedSpace,
     chi_c_exact,
     chi_c_star_exact,
     decide_correspondence_colouring,
@@ -127,6 +130,49 @@ def test_uncolourable_cover_search():
     assert decide_correspondence_colouring(bad) is None
 
 
+@pytest.mark.parametrize(
+    "d,t,k,rows",
+    [
+        (2, 2, 2, ["(1,2) (1,2)", "(1,2) (2,1)"]),
+        (
+            3,
+            6,
+            3,
+            [
+                "(1,2,3) (1,2,3) (1,2,3) (1,2,3) (1,2,3) (1,2,3)",
+                "(1,2,3) (1,2,3) (1,2,3) (2,3,1) (2,3,1) (2,3,1)",
+                "(1,2,3) (2,3,1) (3,1,2) (1,2,3) (2,3,1) (3,1,2)",
+            ],
+        ),
+        (
+            4,
+            4,
+            3,
+            [
+                "(1,2,3) (1,2,3) (1,2,3) (1,2,3)",
+                "(1,2,3) (1,2,3) (1,2,3) (2,3,1)",
+                "(1,2,3) (1,2,3) (1,2,3) (3,1,2)",
+                "(1,2,3) (2,3,1) (3,1,2) (1,2,3)",
+            ],
+        ),
+    ],
+)
+def test_uncolourable_cover_pinned(d, t, k, rows):
+    # the lexicographically first covers, recorded before the scan moved to
+    # packlab.blocking
+    cover = find_uncolourable_cover(d, t, k)
+    assert [" ".join(perm_to_str(p) for p in row) for row in cover.sigma] == rows
+
+
+def test_uncolourable_cover_work_cap_checked_before_building(monkeypatch):
+    # (5!)^3 column types: the cap must refuse before any mask is built
+    import packlab.search as search
+
+    monkeypatch.setattr(search, "colouring_masks", lambda d, k: pytest.fail("masks built"))
+    with pytest.raises(ResourceLimitError):
+        search.find_uncolourable_cover(4, 2, 5, max_work=10)
+
+
 def test_chi_c_exact_values():
     assert chi_c_exact(3, 5) == 3
     assert chi_c_exact(3, 6) == 4
@@ -174,12 +220,14 @@ def test_chi_c_star_star_graphs():
 
 
 def test_reduced_space_masks():
-    space = _ReducedSpace(2, 3)
-    # 3 odd permutations out of 6 are unextendable against the identity row
-    assert space.forbidden_count == 3
-    assert space.size == 6
+    masks = packing_masks(2, 3, DEFAULT_CONSTRUCTION_CAP)
+    # 3 odd permutations out of 6 are unextendable against the identity row;
+    # the all-identity column blocks exactly them
+    assert masks[0].bit_count() == 3
+    # one column per candidate matrix
+    assert len(masks) == 6
     # each combination blocks exactly |F| matrices
-    assert all(mask.bit_count() == 3 for mask in space.combo_masks)
+    assert all(mask.bit_count() == 3 for mask in masks)
 
 
 def test_greedy_small_case():
@@ -190,6 +238,26 @@ def test_greedy_small_case():
     # ties resolve to the lexicographically smallest combination, which makes
     # the first vertex the all-identity column
     assert all(cover.sigma[i][0] == identity(3) for i in range(2))
+
+
+GREEDY_PINS = {
+    (2, 3): ([6, 3, 0], "b86a75293b4bd915c2ce4b65b78425f918a4ef7a06b86b4b360619f56d98f3ef"),
+    (3, 4): (
+        [576, 496, 424, 359, 300, 250, 204, 165, 130, 102, 78, 56, 40, 27, 17, 10, 6, 2, 0],
+        "6eca298cf35a6061ff96a2ee5bb593f0ffd0832aca792c54c80054bb6583533f",
+    ),
+    (5, 3): ([1296, 31, 0], "045f136befe2a8d9c039c03661ad642eddcd4e50b2e815f396eea38ca2f41558"),
+}
+
+
+@pytest.mark.parametrize("d,k", sorted(GREEDY_PINS))
+def test_greedy_trace_and_certificate_pinned(d, k):
+    # traces and certificate bytes recorded before the construction moved to
+    # packlab.blocking
+    cover, trace = greedy_unpackable_cover(d, k)
+    cert = make_certificate("no_k_packing", cover, None, generator="greedy")
+    digest = hashlib.sha256(cert.to_canonical_json().encode()).hexdigest()
+    assert (trace, digest) == GREEDY_PINS[d, k]
 
 
 def test_greedy_d3_k4():
@@ -226,8 +294,8 @@ def test_random_search_finds_small_cover():
 def test_random_search_single_vertex_impossible():
     # one vertex blocks at most 3 of the 6 reduced candidates; exhaustively
     # certain, so the search must exhaust its budget
-    space = _ReducedSpace(2, 3)
-    assert max(m.bit_count() for m in space.combo_masks) < space.size
+    masks = packing_masks(2, 3, DEFAULT_CONSTRUCTION_CAP)
+    assert max(m.bit_count() for m in masks) < len(masks)
     budget = SearchBudget(max_candidates=5_000, seed=0)
     assert random_unpackable_cover_search(2, 3, 1, budget) is None
 
@@ -239,6 +307,17 @@ def test_random_search_deterministic_across_workers():
     ]
     assert covers[0] is not None
     assert covers[0].to_json_dict() == covers[1].to_json_dict() == covers[2].to_json_dict()
+
+
+def test_random_search_seed_11_certificate_pinned():
+    # bytes recorded before the construction moved to packlab.blocking
+    budget = SearchBudget(max_candidates=400_000, seed=11)
+    cover = random_unpackable_cover_search(3, 4, 20, budget)
+    cert = make_certificate(
+        "no_k_packing", cover, None, generator="hunt", seed=11, budget={"max_candidates": 400_000}
+    )
+    digest = hashlib.sha256(cert.to_canonical_json().encode()).hexdigest()
+    assert digest == "5a0e1e87009f8bdff65915c8fb8659f4b768afdfc8efee2619d2a089abd39878"
 
 
 def test_random_search_respects_time_budget():
