@@ -44,7 +44,7 @@ from .covers import (
     normalize,
     standard_cover,
 )
-from .errors import BudgetExceededError, MalformedInputError, PackLabError, ResourceLimitError
+from .errors import MalformedInputError, PackLabError, ResourceLimitError
 from .latin import LATIN_SQUARE_COUNTS, count_latin_rectangles, count_latin_squares, is_latin
 from .packing import (
     ObstructionReport,

@@ -23,7 +23,7 @@ import random
 import time
 
 from .covers import CorrespondenceCover
-from .errors import ResourceLimitError
+from .errors import check_work
 from .packing import admissible_masks, has_perfect_matching
 from .perms import Perm, compose, identity, inverse
 
@@ -71,19 +71,24 @@ def _translate_masks(actions: list[list[list[int]]], members: list[bool]) -> lis
     return masks
 
 
-def packing_masks(d: int, k: int, cap: int) -> list[int]:
+def _check_mask_words(n_masks: int, n_targets: int, what: str) -> None:
+    """Charge the machine words that one pass over the masks touches."""
+    check_work(n_masks * -(-n_targets // 64), what)
+
+
+def packing_masks(d: int, k: int) -> list[int]:
     """Blocked-matrix masks of the canonical columns.
 
     Candidates are the U matrices (identity, m_2, ..., m_d), indexed like
     the columns; column c blocks m iff the transported matrix
     (identity, c_2·m_2, ..., c_d·m_d) is unextendable, so masks[0] is the
-    unextendable set F itself.  ResourceLimitError when (k!)^(d-1) > cap.
+    unextendable set F itself.  The (k!)^(d-1) masks of (k!)^(d-1) bits
+    each are charged to the work limit before any is built.
     """
     if d < 2:
         raise ValueError("need d >= 2")
     size = math.factorial(k) ** (d - 1)
-    if size > cap:
-        raise ResourceLimitError(f"reduced space (k!)^(d-1) = {size} exceeds cap {cap}")
+    _check_mask_words(size, size, "packing masks")
     # the candidate matrices are the canonical columns themselves
     members = [not has_perfect_matching(admissible_masks(m, k)) for m in column_space(d, k)]
     perms = list(itertools.permutations(range(1, k + 1)))
@@ -97,8 +102,10 @@ def colouring_masks(d: int, k: int) -> list[int]:
 
     Candidates are the k^d U colourings (a_1, ..., a_d), coded in base k in
     product order; a column blocks a colouring iff the transported colours
-    exhaust {1..k}.
+    exhaust {1..k}.  The masks are charged to the work limit like the
+    packing masks.
     """
+    _check_mask_words(math.factorial(k) ** (d - 1), k**d, "colouring masks")
     perms = list(itertools.permutations(range(1, k + 1)))
     members = [len(set(a)) == k for a in itertools.product(range(k), repeat=d)]
     inv = [[p.index(x + 1) for x in range(k)] for p in perms]

@@ -8,7 +8,8 @@ the full candidate scan with code deliberately separate from the search
 module.  The verifier shares only ``perms`` and ``packing``: from the
 latter, the mask builders (``transported_masks``, ``list_masks``),
 ``has_perfect_matching`` and ``lex_smallest_system``.  Its witness checks
-and its colouring scan are its own.
+and its colouring scan are its own; from ``covers`` it takes only the
+instance types and their JSON parsing, from ``errors`` the work check.
 
 The serialized form is JSON with a fixed field order, produced by
 ``to_canonical_json``; re-serializing a parsed certificate reproduces the
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from . import __version__
-from .covers import CorrespondenceCover, ListAssignment
-from .errors import MalformedInputError, ResourceLimitError
+from .covers import CorrespondenceCover, ListAssignment, int_array
+from .errors import MalformedInputError, check_work
 from .packing import (
     has_perfect_matching,
     lex_smallest_system,
@@ -34,10 +36,6 @@ from .perms import identity, perm_from_str, perm_to_str
 
 CLAIMS = ("no_k_packing", "packing_witness", "no_k_colouring", "colouring_witness")
 _WITNESS_CLAIMS = ("packing_witness", "colouring_witness")
-
-#: exhaustive verification is refused beyond these instance sizes
-DEFAULT_MAX_D = 4
-DEFAULT_MAX_K = 7
 
 
 @dataclass(frozen=True)
@@ -198,16 +196,15 @@ def _reject(reason: str, evidence: dict | None = None) -> VerifyResult:
 _ACCEPT = VerifyResult(accepted=True)
 
 
-def verify_certificate(
-    cert: Certificate, max_d: int = DEFAULT_MAX_D, max_k: int = DEFAULT_MAX_K
-) -> VerifyResult:
+def verify_certificate(cert: Certificate) -> VerifyResult:
     """Check the certificate's claim against its instance from scratch.
 
     Witness claims are checked edge by edge.  no_k_packing claims are
-    checked by exhausting every candidate on the small side (first vector
+    checked by exhausting every candidate on the U side (first vector
     pinned by colouring-relabeling symmetry) and confirming each one fails
-    at some vertex; instances beyond (max_d, max_k) are refused since that
-    scan costs (k!)^(d-1) matching rounds.
+    at some vertex; no_k_colouring claims by exhausting the k^d colourings
+    of U.  Either scan is refused up front when its candidates times the
+    V-side vertices exceed the work limit.
     """
     instance = cert.instance
     if cert.claim == "packing_witness":
@@ -215,16 +212,16 @@ def verify_certificate(
     if cert.claim == "colouring_witness":
         return _verify_colouring_witness(instance, cert.witness)
 
-    d = instance.d if isinstance(instance, CorrespondenceCover) else instance.a
+    if isinstance(instance, CorrespondenceCover):
+        d, t = instance.d, instance.t
+    else:
+        d, t = instance.a, instance.b
     k = instance.k
-    if d > max_d or k > max_k:
-        raise ResourceLimitError(
-            f"refusing exhaustive verification for d={d}, k={k} "
-            f"(bounds: d <= {max_d}, k <= {max_k})"
-        )
     if cert.claim == "no_k_packing":
+        check_work(math.factorial(k) ** (d - 1) * t, "no_k_packing verification")
         return _verify_no_packing(instance)
     if cert.claim == "no_k_colouring":
+        check_work(k**d * t, "no_k_colouring verification")
         return _verify_no_colouring(instance)
     raise MalformedInputError(f"unknown claim {cert.claim!r}")
 
@@ -257,8 +254,8 @@ def _verify_packing_witness(instance, witness) -> VerifyResult:
 
     # list instance: rows are arrangements of each vertex's own list
     try:
-        u_rows = [tuple(map(int, r)) for r in witness["u_rows"]]
-        v_rows = [tuple(map(int, r)) for r in witness["v_rows"]]
+        u_rows = [int_array(r) for r in witness["u_rows"]]
+        v_rows = [int_array(r) for r in witness["v_rows"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"malformed witness: {exc}") from exc
     if len(u_rows) != instance.a or len(v_rows) != instance.b:
@@ -282,8 +279,8 @@ def _verify_packing_witness(instance, witness) -> VerifyResult:
 
 def _verify_colouring_witness(instance, witness) -> VerifyResult:
     try:
-        u_col = [int(c) for c in witness["u_colours"]]
-        v_col = [int(c) for c in witness["v_colours"]]
+        u_col = int_array(witness["u_colours"])
+        v_col = int_array(witness["v_colours"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInputError(f"malformed witness: {exc}") from exc
     if isinstance(instance, CorrespondenceCover):

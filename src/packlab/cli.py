@@ -209,7 +209,7 @@ def _cmd_chi(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.certificate, "r", encoding="utf-8") as fh:
         cert = Certificate.from_json(fh.read())
-    result = verify_certificate(cert, max_d=args.max_d, max_k=args.max_k)
+    result = verify_certificate(cert)
     if result.accepted:
         _emit(args, ["ACCEPT"], {"verdict": "accept"})
         return 0
@@ -298,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a certificate independently")
     p.add_argument("certificate")
-    p.add_argument("--max-d", type=int, default=4)
-    p.add_argument("--max-k", type=int, default=7)
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 

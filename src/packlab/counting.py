@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_work
 from .latin import LATIN_SQUARE_COUNTS, _count_rows
 from .packing import has_perfect_matching
 from .perms import Perm, cycle_type, identity
@@ -109,6 +109,15 @@ def _conjugacy_classes(k: int) -> list[tuple[Perm, int]]:
     return [(rep, size) for rep, size in classes.values()]
 
 
+def _partition_count(k: int) -> int:
+    """Number of integer partitions of k, i.e. of cycle types in S_k."""
+    ways = [1] + [0] * k
+    for part in range(1, k + 1):
+        for n in range(part, k + 1):
+            ways[n] += ways[n - part]
+    return ways[k]
+
+
 def _count_block(k: int, fixed: tuple[Perm, ...], depth: int) -> int:
     """Forbidden matrices whose first rows are `fixed`, with `depth` free rows."""
     full = (1 << k) - 1
@@ -127,7 +136,6 @@ def forbidden_count_brute(
     d: int,
     k: int,
     workers: int = 1,
-    max_matrices: int = 20_000_000,
     use_class_reduction: bool | None = None,
 ) -> int:
     """Exhaustive count of unextendable d x k packing matrices.
@@ -155,16 +163,15 @@ def forbidden_count_brute(
     if use_class_reduction is None:
         use_class_reduction = d >= 3
     free_rows = d - 1
-    cost = kf**free_rows if not use_class_reduction else len(_conjugacy_classes(k)) * kf ** (free_rows - 1)
-    if cost > max_matrices:
-        raise ResourceLimitError(
-            f"brute-force count needs ~{cost} matrix checks (> {max_matrices})"
-        )
-    ident = identity(k)
     if not use_class_reduction:
-        return kf * _count_block(k, (ident,), free_rows)
+        check_work(kf**free_rows, "brute-force forbidden count")
+        return kf * _count_block(k, (identity(k),), free_rows)
 
+    # one block per cycle type; listing the classes alone walks all k! rows
+    cost = max(kf, _partition_count(k) * kf ** (free_rows - 1))
+    check_work(cost, "brute-force forbidden count")
     blocks = _conjugacy_classes(k)
+    ident = identity(k)
     if workers > 1 and len(blocks) > 1:
         import concurrent.futures
 
@@ -193,13 +200,13 @@ def y_ratio(d: int) -> Fraction:
     return Fraction(math.factorial(2 * d - 2) ** d, w_even(d))
 
 
-def iteration_bound(X0: int, w: int, max_steps: int | None = None) -> int:
+def iteration_bound(X0: int, w: int) -> int:
     """Steps of X_s = X_{s-1} - ceil(X_{s-1} w / X0) until X_s = 0.
 
     Equals the number of iterations of X -> floor((1 - 1/x) X) with
     x = X0/w, since n - ceil(a) = floor(n - a).  Exact integer arithmetic
-    throughout.  ``max_steps`` guards against infeasibly long runs (the step
-    count roughly equals x log X0).
+    throughout.  The step count roughly equals x log X0; threshold_table
+    only asks for it below DEFAULT_ITERATION_CAP.
     """
     if w <= 0:
         raise ValueError("w must be positive")
@@ -210,8 +217,6 @@ def iteration_bound(X0: int, w: int, max_steps: int | None = None) -> int:
     while X > 0:
         X -= -(-X * w // X0)  # ceil(X*w/X0)
         steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise ResourceLimitError(f"iteration exceeds {max_steps} steps")
     return steps
 
 
@@ -365,11 +370,11 @@ class ThresholdRow:
         )
 
 
-def _make_row(d: int, flavour: str, X0: int, w: int, iteration_cap: int) -> ThresholdRow:
+def _make_row(d: int, flavour: str, X0: int, w: int) -> ThresholdRow:
     ratio = Fraction(X0, w)
     est = estimate_bound(X0, w)
     est_fo = estimate_bound_first_order(X0, w)
-    iter_val = iteration_bound(X0, w) if est_fo <= iteration_cap else None
+    iter_val = iteration_bound(X0, w) if est_fo <= DEFAULT_ITERATION_CAP else None
     return ThresholdRow(
         d=d,
         flavour=flavour,
@@ -382,9 +387,7 @@ def _make_row(d: int, flavour: str, X0: int, w: int, iteration_cap: int) -> Thre
     )
 
 
-def threshold_table(
-    d_min: int, d_max: int, iteration_cap: int = DEFAULT_ITERATION_CAP
-) -> list[ThresholdRow]:
+def threshold_table(d_min: int, d_max: int) -> list[ThresholdRow]:
     """Rows for both threshold flavours, d_min <= d <= d_max (2..11).
 
     Per d: the k = 2d-2 flavour bounds the least t forcing packing number
@@ -399,10 +402,10 @@ def threshold_table(
     for d in range(d_min, d_max + 1):
         if d >= 3:
             rows.append(
-                _make_row(d, "upper_2d_minus_1", math.factorial(2 * d - 2) ** d, w_even(d), iteration_cap)
+                _make_row(d, "upper_2d_minus_1", math.factorial(2 * d - 2) ** d, w_even(d))
             )
         rows.append(
-            _make_row(d, "lower_2d", math.factorial(2 * d - 1) ** d, w_odd(d), iteration_cap)
+            _make_row(d, "lower_2d", math.factorial(2 * d - 1) ** d, w_odd(d))
         )
     return rows
 

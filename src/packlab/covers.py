@@ -71,11 +71,11 @@ class CorrespondenceCover:
             if data.get("version") != 1 or data.get("kind") != "correspondence_cover":
                 raise MalformedInputError(f"not a version-1 cover object: {data.get('kind')!r}")
             sigma = tuple(tuple(perm_from_str(s) for s in row) for row in data["sigma"])
-            cover = cls(k=int(data["k"]), sigma=sigma)
+            cover = cls(k=_json_int(data, "k"), sigma=sigma)
+            if cover.d != _json_int(data, "d") or cover.t != _json_int(data, "t"):
+                raise ValueError("cover dimensions disagree with sigma array")
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"malformed cover: {exc}") from exc
-        if cover.d != int(data["d"]) or cover.t != int(data["t"]):
-            raise MalformedInputError("cover dimensions disagree with sigma array")
         return cover
 
 
@@ -156,15 +156,31 @@ class ListAssignment:
             if data.get("version") != 1 or data.get("kind") != "list_assignment":
                 raise MalformedInputError(f"not a version-1 assignment object: {data.get('kind')!r}")
             obj = cls(
-                k=int(data["k"]),
-                u_lists=tuple(tuple(sorted(map(int, lst))) for lst in data["u_lists"]),
-                v_lists=tuple(tuple(sorted(map(int, lst))) for lst in data["v_lists"]),
+                k=_json_int(data, "k"),
+                u_lists=tuple(tuple(sorted(int_array(lst))) for lst in data["u_lists"]),
+                v_lists=tuple(tuple(sorted(int_array(lst))) for lst in data["v_lists"]),
             )
+            if obj.a != _json_int(data, "a") or obj.b != _json_int(data, "b"):
+                raise ValueError("assignment sizes disagree with the lists")
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"malformed assignment: {exc}") from exc
-        if obj.a != int(data["a"]) or obj.b != int(data["b"]):
-            raise MalformedInputError("assignment sizes disagree with the lists")
         return obj
+
+
+def _json_int(data: dict, key: str) -> int:
+    """data[key] when it is a JSON integer; a missing key, floats, strings
+    and booleans are refused."""
+    value = data.get(key)
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def int_array(values) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple; anything else is a ValueError."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"expected an array of integers, got {values!r}")
+    return tuple(values)
 
 
 def make_assignment(u_lists, v_lists) -> ListAssignment:

@@ -1,8 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one work limit.
 
 Contract violations (bad arguments, malformed files) raise ValueError or a
-subclass; deliberate size/budget refusals raise ResourceLimitError so callers
-can tell "instance too big" apart from "no solution exists".
+subclass; deliberate size refusals raise ResourceLimitError so callers can
+tell "instance too big" apart from "no solution exists".
+
+Every exhaustive scan states its worst-case step count up front, computed
+from its input alone, and passes it to ``check_work`` before any work
+starts.  The unit is one candidate per vertex for the deciders and the
+verifier, one cover or matrix for the scans that count those, and one
+machine word for the mask builders; WORK_LIMIT bounds them all, and no
+call can raise it.
 """
 
 
@@ -14,12 +21,14 @@ class ResourceLimitError(PackLabError):
     """An operation was refused or aborted because it exceeds a size limit."""
 
 
-class BudgetExceededError(ResourceLimitError):
-    """A search ran out of its candidate or time budget before finishing.
+#: the most steps any exhaustive scan may take
+WORK_LIMIT = 20_000_000
 
-    Distinct from a negative decision: when this is raised, the instance has
-    neither been solved nor refuted.
-    """
+
+def check_work(steps: int, what: str) -> None:
+    """Refuse ``what`` with ResourceLimitError when it needs more than WORK_LIMIT steps."""
+    if steps > WORK_LIMIT:
+        raise ResourceLimitError(f"{what} needs {steps} steps, over the work limit {WORK_LIMIT}")
 
 
 class MalformedInputError(PackLabError, ValueError):

@@ -135,8 +135,8 @@ def count_latin_rectangles(r: int, n: int) -> int:
     return _count_rows(n, [0] * n, r, lambda cols: 1, {}, avoid=True)
 
 
-def count_latin_squares(n: int, enumeration_limit: int | None = None) -> int:
-    """Exact N(n): enumerated up to the limit, stored constants for 7..11.
+def count_latin_squares(n: int) -> int:
+    """Exact N(n): enumerated up to DEFAULT_ENUMERATION_LIMIT, stored constants beyond.
 
     N(n) is unknown for n >= 12; such orders are rejected.
     """
@@ -144,7 +144,6 @@ def count_latin_squares(n: int, enumeration_limit: int | None = None) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if n >= 12:
         raise ResourceLimitError(f"N({n}) is not known; supported range is 1..11")
-    limit = DEFAULT_ENUMERATION_LIMIT if enumeration_limit is None else enumeration_limit
-    if n <= limit:
+    if n <= DEFAULT_ENUMERATION_LIMIT:
         return count_latin_rectangles(n, n)
     return LATIN_SQUARE_COUNTS[n]

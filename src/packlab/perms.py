@@ -100,7 +100,7 @@ def has_fixed_point(p: Perm) -> bool:
     return any(v == j + 1 for j, v in enumerate(p))
 
 
-def all_permutations(k: int, limit: int | None = None) -> Iterator[Perm]:
+def all_permutations(k: int) -> Iterator[Perm]:
     """All k! permutations of {1..k}, in lexicographic one-line order.
 
     The enumeration order is part of the contract: downstream tie-breaking
@@ -108,10 +108,9 @@ def all_permutations(k: int, limit: int | None = None) -> Iterator[Perm]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    cap = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
-    if k > cap:
+    if k > DEFAULT_ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"refusing to enumerate {k}! permutations (k={k} exceeds limit {cap})"
+            f"refusing to enumerate {k}! permutations (k={k} exceeds {DEFAULT_ENUMERATION_LIMIT})"
         )
     return itertools.permutations(range(1, k + 1))
 

@@ -32,14 +32,9 @@ from .covers import (
     PartialMatchingCover,
     list_to_partial_cover,
 )
-from .errors import BudgetExceededError, ResourceLimitError
+from .errors import check_work
 from .packing import has_perfect_matching, lex_smallest_system, transported_masks
 from .perms import identity
-
-DEFAULT_CANDIDATE_BUDGET = 2_000_000
-
-#: size cap on the reduced candidate space (k!)^(d-1) for cover construction
-DEFAULT_CONSTRUCTION_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -69,20 +64,17 @@ class SearchBudget:
 # ---------------------------------------------------------------------------
 
 
-def _decide_columns(columns, d: int, t: int, k: int, max_candidates: int) -> PackingWitness | None:
+def _decide_columns(columns, d: int, t: int, k: int) -> PackingWitness | None:
     """Core decider; columns[j][i] maps u_i-colours to v_j-colours (None = free).
 
     Scans candidate U matrices with the first row pinned to the identity, in
     lexicographic order of the remaining rows; at each vertex checks for a
     perfect matching between positions and colours.  Returns the first full
-    witness (with lexicographically smallest extensions), or None.
+    witness (with lexicographically smallest extensions), or None.  Costs
+    at most (k!)^(d-1) candidates times t vertices.
     """
+    check_work(math.factorial(k) ** (d - 1) * t, "packing decision")
     perms = list(itertools.permutations(range(1, k + 1)))
-    n_candidates = len(perms) ** (d - 1)
-    if n_candidates > max_candidates:
-        raise BudgetExceededError(
-            f"candidate space (k!)^(d-1) = {n_candidates} exceeds budget {max_candidates}"
-        )
     ident = identity(k)
     for rest in itertools.product(perms, repeat=d - 1):
         rows = (ident,) + rest
@@ -100,27 +92,24 @@ def _decide_columns(columns, d: int, t: int, k: int, max_candidates: int) -> Pac
 
 def decide_correspondence_packing(
     cover: CorrespondenceCover | PartialMatchingCover,
-    max_candidates: int = DEFAULT_CANDIDATE_BUDGET,
 ) -> PackingWitness | None:
     """Full packing of a k-fold cover, or None when none exists.
 
-    Exhaustive over the reduced candidate space; a BudgetExceededError (the
+    Exhaustive over the reduced candidate space; a ResourceLimitError (the
     instance was too big to decide) is distinct from the None verdict.
     """
     columns = [cover.column(j) for j in range(cover.t)]
-    return _decide_columns(columns, cover.d, cover.t, cover.k, max_candidates)
+    return _decide_columns(columns, cover.d, cover.t, cover.k)
 
 
-def decide_list_packing(
-    assignment: ListAssignment, max_candidates: int = DEFAULT_CANDIDATE_BUDGET
-) -> PackingWitness | None:
+def decide_list_packing(assignment: ListAssignment) -> PackingWitness | None:
     """List packing decided through the exact partial-matching translation.
 
     The witness is reported in the original colours, with row i of the U
     side an arrangement of L(u_i).
     """
     partial, u_maps, v_maps = list_to_partial_cover(assignment)
-    witness = decide_correspondence_packing(partial, max_candidates=max_candidates)
+    witness = decide_correspondence_packing(partial)
     if witness is None:
         return None
     u_rows = tuple(
@@ -177,7 +166,7 @@ def verify_list_witness(assignment: ListAssignment, witness: PackingWitness) -> 
 
 
 def decide_correspondence_colouring(
-    cover: CorrespondenceCover, max_candidates: int = DEFAULT_CANDIDATE_BUDGET
+    cover: CorrespondenceCover,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """One proper colouring (u_colours, v_colours) of the cover, or None.
 
@@ -185,8 +174,7 @@ def decide_correspondence_colouring(
     its d transported neighbour colours exhaust all of {1..k}.
     """
     d, t, k = cover.d, cover.t, cover.k
-    if k**d > max_candidates:
-        raise BudgetExceededError(f"candidate space k^d = {k ** d} exceeds budget")
+    check_work(k**d * t, "colouring decision")
     for u_col in itertools.product(range(1, k + 1), repeat=d):
         v_col = []
         for j in range(t):
@@ -200,14 +188,10 @@ def decide_correspondence_colouring(
 
 
 def decide_list_colouring(
-    assignment: ListAssignment, max_candidates: int = DEFAULT_CANDIDATE_BUDGET
+    assignment: ListAssignment,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """One proper list-colouring (u_colours, v_colours), or None."""
-    total = 1
-    for lst in assignment.u_lists:
-        total *= len(lst)
-    if total > max_candidates:
-        raise BudgetExceededError(f"candidate space {total} exceeds budget")
+    check_work(assignment.k**assignment.a * assignment.b, "list colouring decision")
     for u_col in itertools.product(*assignment.u_lists):
         used = set(u_col)
         v_col = []
@@ -226,9 +210,7 @@ def decide_list_colouring(
 # ---------------------------------------------------------------------------
 
 
-def greedy_unpackable_cover(
-    d: int, k: int, cap: int = DEFAULT_CONSTRUCTION_CAP
-) -> tuple[CorrespondenceCover, list[int]]:
+def greedy_unpackable_cover(d: int, k: int) -> tuple[CorrespondenceCover, list[int]]:
     """Build a cover with no k-packing by repeatedly adding the best vertex.
 
     At each step every matching combination is scored by how many surviving
@@ -240,7 +222,7 @@ def greedy_unpackable_cover(
     Returns the cover and the trace [X_0, X_1, ..., 0] of survivor counts in
     the reduced space.
     """
-    masks = packing_masks(d, k, cap)
+    masks = packing_masks(d, k)
     if masks[0] == 0:
         raise ValueError(f"no unextendable matrices exist for d={d}, k={k}")
     picks, trace = greedy_cover(masks, len(masks))
@@ -253,7 +235,6 @@ def random_unpackable_cover_search(
     t_target: int,
     budget: SearchBudget,
     workers: int = 1,
-    cap: int = DEFAULT_CONSTRUCTION_CAP,
 ) -> CorrespondenceCover | None:
     """Hill-climbing search for an unpackable cover with exactly t_target vertices.
 
@@ -266,7 +247,7 @@ def random_unpackable_cover_search(
     """
     if t_target < 1:
         raise ValueError("need t_target >= 1")
-    masks = packing_masks(d, k, cap)
+    masks = packing_masks(d, k)
     picks = hill_climb_cover(
         masks, len(masks), t_target, budget.seed, budget.max_candidates, budget.max_seconds
     )
@@ -277,12 +258,7 @@ def random_unpackable_cover_search(
 # exact chromatic computations on tiny instances
 # ---------------------------------------------------------------------------
 
-DEFAULT_ENUMERATION_WORK = 20_000_000
-
-
-def find_uncolourable_cover(
-    d: int, t: int, k: int, max_work: int = DEFAULT_ENUMERATION_WORK
-) -> CorrespondenceCover | None:
+def find_uncolourable_cover(d: int, t: int, k: int) -> CorrespondenceCover | None:
     """Lexicographically first canonical k-fold cover of K_{d,t} with no
     proper colouring, or None when every cover is colourable.
 
@@ -295,10 +271,7 @@ def find_uncolourable_cover(
     if d < 2 or t < 1:
         raise ValueError("need d >= 2 and t >= 1")
     n_multisets = math.comb(math.factorial(k) ** (d - 1) + t - 2, t - 1)
-    if n_multisets > max_work:
-        raise ResourceLimitError(
-            f"{n_multisets} canonical covers exceed the work cap {max_work}"
-        )
+    check_work(n_multisets, "uncolourable cover scan")
     masks = colouring_masks(d, k)
     # column 0 (all identities) is pinned at the first vertex
     rest = first_multiset_cover(masks, k**d, t - 1, masks[0])
@@ -325,7 +298,7 @@ def every_cover_colourable_by_counting(d: int, t: int, k: int) -> bool:
     )
 
 
-def chi_c_exact(a: int, b: int, max_work: int = DEFAULT_ENUMERATION_WORK) -> int:
+def chi_c_exact(a: int, b: int) -> int:
     """Exact correspondence chromatic number of K_{a,b} for tiny instances.
 
     For k = 2, 3, ...: the counting ceiling settles the fold sizes where no
@@ -343,27 +316,25 @@ def chi_c_exact(a: int, b: int, max_work: int = DEFAULT_ENUMERATION_WORK) -> int
     for k in itertools.count(2):
         if every_cover_colourable_by_counting(d, t, k):
             return k
-        if find_uncolourable_cover(d, t, k, max_work=max_work) is None:
+        if find_uncolourable_cover(d, t, k) is None:
             return k
 
 
-def chi_c_star_exact(a: int, b: int, max_work: int = 200_000) -> int:
+def chi_c_star_exact(a: int, b: int) -> int:
     """Exact correspondence packing number by full canonical-cover scans.
 
-    Only tiny instances are feasible: all (k!)^((a-1)(b-1)) canonical covers
-    are generated per fold size k and each is decided exhaustively.  The
-    scan stops at the first k whose covers are all packable.
+    Only tiny instances are feasible: all (k!)^((d-1)(t-1)) canonical covers
+    of K_{d,t}, d <= t, are generated per fold size k and each is decided
+    exhaustively at (k!)^(d-1) candidates times t vertices; a fold whose
+    scan exceeds the work limit is refused before it starts.  The scan
+    stops at the first k whose covers are all packable.
     """
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
     d, t = (a, b) if a <= b else (b, a)
     for k in itertools.count(2):
         n_covers = math.factorial(k) ** ((d - 1) * (t - 1))
-        n_candidates = math.factorial(k) ** (d - 1)
-        if n_covers * n_candidates > max_work:
-            raise ResourceLimitError(
-                f"canonical cover scan for k={k} needs ~{n_covers * n_candidates} decisions"
-            )
+        check_work(n_covers * math.factorial(k) ** (d - 1) * t, f"fold-{k} canonical cover scan")
         columns = column_space(d, k)
         if all(
             decide_correspondence_packing(cover_from_columns(columns, (0,) + rest)) is not None

@@ -61,7 +61,7 @@ def test_column_space_order():
 
 @pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (3, 4), (4, 3), (5, 3)])
 def test_packing_masks_match_plain_reference(d, k):
-    assert packing_masks(d, k, 20_000) == plain_packing_masks(d, k)
+    assert packing_masks(d, k) == plain_packing_masks(d, k)
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
@@ -71,9 +71,9 @@ def test_colouring_masks_match_plain_reference(d, k):
 
 def test_packing_masks_refuse_oversized_or_degenerate_spaces():
     with pytest.raises(ResourceLimitError):
-        packing_masks(3, 4, 575)
+        packing_masks(4, 5)
     with pytest.raises(ValueError):
-        packing_masks(1, 3, 20_000)
+        packing_masks(1, 3)
 
 
 def test_cover_from_columns_places_one_column_per_vertex():

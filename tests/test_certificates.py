@@ -141,11 +141,14 @@ def test_verify_colouring_witness():
 
 
 def test_verifier_size_refusal():
+    # (3!)^4 * 2 steps: admitted, and the standard cover packs
     cover = standard_cover(5, 2, 3)
     cert = make_certificate("no_k_packing", cover, None, generator="fixture")
+    assert verify_certificate(cert).reason == "surviving packing found"
+    # (7!)^3 candidates: refused before any scan
+    cert = make_certificate("no_k_packing", standard_cover(4, 2, 7), None, generator="fixture")
     with pytest.raises(ResourceLimitError):
         verify_certificate(cert)
-    assert verify_certificate(cert, max_d=5) is not None
 
 
 def test_greedy_certificate_round_trip_and_verify():

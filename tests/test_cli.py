@@ -82,10 +82,8 @@ def test_decide_assignment_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "decide", "--assignment", str(path), "--out", str(cert_path))
     assert code == 0
     assert "not packable" in out
-    # the small side has five vertices, beyond the default verification bound
-    code, _, _ = run(capsys, "verify", str(cert_path))
-    assert code == 2
-    code, out, _ = run(capsys, "verify", str(cert_path), "--max-d", "5")
+    # (3!)^4 candidates times 6 vertices: well inside the work limit
+    code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 0 and "ACCEPT" in out
 
 
@@ -212,3 +210,42 @@ def test_reproduce_cli(tmp_path, capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
     report = json.loads(report_path.read_text())
     assert report["failed"] == 0
+
+
+@pytest.mark.parametrize("kind,key", [
+    ("cover", "d"), ("cover", "t"), ("cover", "k"),
+    ("assignment", "a"), ("assignment", "b"), ("assignment", "k"),
+])
+@pytest.mark.parametrize("bad", ["missing", "list", "float", "string"])
+def test_instance_size_fields_must_be_integers(tmp_path, capsys, kind, key, bad):
+    from packlab.cases import k39_assignment
+    from packlab.certificates import make_certificate
+
+    instance = k22_unpackable_cover() if kind == "cover" else k39_assignment()
+    data = instance.to_json_dict()
+    value = data.pop(key)
+    if bad != "missing":
+        data[key] = {"list": [value], "float": value - 0.3, "string": str(value)}[bad]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "decide", f"--{kind}", str(path))
+    assert code == 2 and f"malformed {kind}" in err
+    cert = make_certificate("no_k_packing", instance, None, generator="fixture").to_json_dict()
+    cert["instance"] = data
+    path.write_text(json.dumps(cert))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and f"malformed {kind}" in err
+
+
+def test_k44_uncolourable_cover_fixture_verifies(capsys):
+    from pathlib import Path
+
+    from packlab.certificates import make_certificate
+    from packlab.search import find_uncolourable_cover
+
+    path = Path(__file__).parent / "fixtures" / "k44_no_3_colouring.json"
+    cert = make_certificate("no_k_colouring", find_uncolourable_cover(4, 4, 3), None,
+                            generator="search")
+    assert path.read_text() == cert.to_canonical_json()
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.strip() == "ACCEPT"

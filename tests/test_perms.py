@@ -122,9 +122,7 @@ def test_all_permutations_lex_order_and_distinct():
 def test_all_permutations_limit():
     with pytest.raises(ResourceLimitError):
         all_permutations(10)
-    assert sum(1 for _ in all_permutations(4, limit=4)) == 24
-    with pytest.raises(ResourceLimitError):
-        all_permutations(5, limit=4)
+    assert next(all_permutations(9)) == identity(9)
 
 
 def test_serialization_round_trip():

@@ -6,11 +6,10 @@ import pytest
 
 from packlab.blocking import packing_masks
 from packlab.covers import canonicalize, k22_unpackable_cover, make_assignment, standard_cover
-from packlab.errors import BudgetExceededError, ResourceLimitError
+from packlab.errors import ResourceLimitError
 from packlab.certificates import make_certificate
 from packlab.perms import identity, is_derangement_of, perm_to_str
 from packlab.search import (
-    DEFAULT_CONSTRUCTION_CAP,
     SearchBudget,
     chi_c_exact,
     chi_c_star_exact,
@@ -83,8 +82,9 @@ def test_decider_invariant_under_canonicalize():
 
 
 def test_budget_exhaustion_is_not_a_verdict():
-    with pytest.raises(BudgetExceededError):
-        decide_correspondence_packing(standard_cover(3, 1, 5), max_candidates=100)
+    # (7!)^3 candidates: refused, neither packable nor unpackable
+    with pytest.raises(ResourceLimitError):
+        decide_correspondence_packing(standard_cover(4, 1, 7))
 
 
 def test_every_witness_verifies():
@@ -165,12 +165,12 @@ def test_uncolourable_cover_pinned(d, t, k, rows):
 
 
 def test_uncolourable_cover_work_cap_checked_before_building(monkeypatch):
-    # (5!)^3 column types: the cap must refuse before any mask is built
+    # (5!)^3 column types, C(1728001, 2) multisets: refused before any mask is built
     import packlab.search as search
 
     monkeypatch.setattr(search, "colouring_masks", lambda d, k: pytest.fail("masks built"))
     with pytest.raises(ResourceLimitError):
-        search.find_uncolourable_cover(4, 2, 5, max_work=10)
+        search.find_uncolourable_cover(4, 3, 5)
 
 
 def test_chi_c_exact_values():
@@ -220,7 +220,7 @@ def test_chi_c_star_star_graphs():
 
 
 def test_reduced_space_masks():
-    masks = packing_masks(2, 3, DEFAULT_CONSTRUCTION_CAP)
+    masks = packing_masks(2, 3)
     # 3 odd permutations out of 6 are unextendable against the identity row;
     # the all-identity column blocks exactly them
     assert masks[0].bit_count() == 3
@@ -294,7 +294,7 @@ def test_random_search_finds_small_cover():
 def test_random_search_single_vertex_impossible():
     # one vertex blocks at most 3 of the 6 reduced candidates; exhaustively
     # certain, so the search must exhaust its budget
-    masks = packing_masks(2, 3, DEFAULT_CONSTRUCTION_CAP)
+    masks = packing_masks(2, 3)
     assert max(m.bit_count() for m in masks) < len(masks)
     budget = SearchBudget(max_candidates=5_000, seed=0)
     assert random_unpackable_cover_search(2, 3, 1, budget) is None
