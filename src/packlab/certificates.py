@@ -203,8 +203,9 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     checked by exhausting every candidate on the U side (first vector
     pinned by colouring-relabeling symmetry) and confirming each one fails
     at some vertex; no_k_colouring claims by exhausting the k^d colourings
-    of U.  Either scan is refused up front when its candidates times the
-    V-side vertices exceed the work limit.
+    of U.  Either scan is refused up front when it exceeds the work limit:
+    candidates × V-side vertices × d·k entries (d colours for colourings),
+    or k! × k entries for the packing scan's row table.
     """
     instance = cert.instance
     if cert.claim == "packing_witness":
@@ -212,16 +213,15 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     if cert.claim == "colouring_witness":
         return _verify_colouring_witness(instance, cert.witness)
 
-    if isinstance(instance, CorrespondenceCover):
-        d, t = instance.d, instance.t
-    else:
-        d, t = instance.a, instance.b
+    is_cover = isinstance(instance, CorrespondenceCover)
+    d, t = (instance.d, instance.t) if is_cover else (instance.a, instance.b)
     k = instance.k
     if cert.claim == "no_k_packing":
-        check_work(math.factorial(k) ** (d - 1) * t, "no_k_packing verification")
+        scan = math.factorial(k) ** (d - 1) * t * d
+        check_work(k * max(math.factorial(k), scan), "no_k_packing verification")
         return _verify_no_packing(instance)
     if cert.claim == "no_k_colouring":
-        check_work(k**d * t, "no_k_colouring verification")
+        check_work(k**d * t * d, "no_k_colouring verification")
         return _verify_no_colouring(instance)
     raise MalformedInputError(f"unknown claim {cert.claim!r}")
 

@@ -6,10 +6,10 @@ tell "instance too big" apart from "no solution exists".
 
 Every exhaustive scan states its worst-case step count up front, computed
 from its input alone, and passes it to ``check_work`` before any work
-starts.  The unit is one candidate per vertex for the deciders and the
-verifier, one cover or matrix for the scans that count those, and one
-machine word for the mask builders; WORK_LIMIT bounds them all, and no
-call can raise it.
+starts.  The unit is one matrix entry or colour carried to one vertex for
+the deciders and the verifier, one cover or matrix for the scans that
+count those, and one machine word for the mask builders; WORK_LIMIT bounds
+them all, and no call can raise it.
 """
 
 

@@ -71,9 +71,9 @@ def _decide_columns(columns, d: int, t: int, k: int) -> PackingWitness | None:
     lexicographic order of the remaining rows; at each vertex checks for a
     perfect matching between positions and colours.  Returns the first full
     witness (with lexicographically smallest extensions), or None.  Costs
-    at most (k!)^(d-1) candidates times t vertices.
+    (k!)^(d-1) candidates × t vertices × d·k entries, or k! × k (row table).
     """
-    check_work(math.factorial(k) ** (d - 1) * t, "packing decision")
+    check_work(k * max(math.factorial(k), math.factorial(k) ** (d - 1) * t * d), "packing decision")
     perms = list(itertools.permutations(range(1, k + 1)))
     ident = identity(k)
     for rest in itertools.product(perms, repeat=d - 1):
@@ -174,7 +174,7 @@ def decide_correspondence_colouring(
     its d transported neighbour colours exhaust all of {1..k}.
     """
     d, t, k = cover.d, cover.t, cover.k
-    check_work(k**d * t, "colouring decision")
+    check_work(k**d * t * d, "colouring decision")
     for u_col in itertools.product(range(1, k + 1), repeat=d):
         v_col = []
         for j in range(t):
@@ -191,7 +191,7 @@ def decide_list_colouring(
     assignment: ListAssignment,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """One proper list-colouring (u_colours, v_colours), or None."""
-    check_work(assignment.k**assignment.a * assignment.b, "list colouring decision")
+    check_work(assignment.k**assignment.a * assignment.b * assignment.a, "list colouring decision")
     for u_col in itertools.product(*assignment.u_lists):
         used = set(u_col)
         v_col = []
@@ -325,16 +325,16 @@ def chi_c_star_exact(a: int, b: int) -> int:
 
     Only tiny instances are feasible: all (k!)^((d-1)(t-1)) canonical covers
     of K_{d,t}, d <= t, are generated per fold size k and each is decided
-    exhaustively at (k!)^(d-1) candidates times t vertices; a fold whose
-    scan exceeds the work limit is refused before it starts.  The scan
-    stops at the first k whose covers are all packable.
+    exhaustively at (k!)^(d-1) candidates × t vertices × d·k entries; a fold
+    whose scan exceeds the work limit is refused before it starts.  The
+    scan stops at the first k whose covers are all packable.
     """
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
     d, t = (a, b) if a <= b else (b, a)
     for k in itertools.count(2):
         n_covers = math.factorial(k) ** ((d - 1) * (t - 1))
-        check_work(n_covers * math.factorial(k) ** (d - 1) * t, f"fold-{k} canonical cover scan")
+        check_work(n_covers * math.factorial(k) ** (d - 1) * t * d * k, f"fold-{k} cover scan")
         columns = column_space(d, k)
         if all(
             decide_correspondence_packing(cover_from_columns(columns, (0,) + rest)) is not None

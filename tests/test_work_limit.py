@@ -6,6 +6,8 @@ at the first candidate) or reach a stubbed first work step; refused ones
 raise ResourceLimitError without reaching it.
 """
 
+import itertools
+
 import pytest
 
 import packlab.blocking as blocking
@@ -43,18 +45,22 @@ def test_check_work_boundary():
         check_work(WORK_LIMIT + 1, "probe")
 
 
-# (d, t, k) -> admitted; packing steps (k!)^(d-1) * t, colouring steps k^d * t
+# (d, t, k) -> admitted; packing steps k * max(k!, (k!)^(d-1) * t * d),
+# colouring steps k^d * t * d
 PACKING_PROBES = [
-    ((3, 38, 6), True),  # 19 699 200
-    ((3, 39, 6), False),  # 20 217 600
-    ((4, 11, 5), True),  # 19 008 000
-    ((4, 12, 5), False),
-    ((6, 2, 4), True),  # 15 925 248; (k!)^(d-1) alone was over the old 2 000 000 budget
-    ((4, 1, 7), False),  # 1.3e11
+    ((3, 2, 6), True),  # 18 662 400
+    ((3, 3, 6), False),  # 27 993 600
+    ((5, 3, 4), True),  # 19 906 560
+    ((5, 4, 4), False),  # 26 542 080
+    ((18, 4, 2), True),  # 18 874 368
+    ((19, 4, 2), False),  # 39 845 888
+    ((4, 1, 5), False),  # 34 560 000
+    ((4, 1, 7), False),  # 3.6e12
+    ((2, 1, 8), True),  # 645 120
 ]
 COLOURING_PROBES = [
-    ((8, 3, 7), True),  # 17 294 403
-    ((8, 4, 7), False),  # 23 059 204
+    ((7, 3, 7), True),  # 17 294 403
+    ((7, 4, 7), False),  # 23 059 204
     ((4, 1, 7), True),
 ]
 
@@ -70,6 +76,29 @@ def test_packing_decision_and_verification_gate(shape, ok):
     assert admitted(lambda: search.decide_list_packing(lists)) == ok
     assert admitted(lambda: verify_certificate(cert)) == ok
     assert admitted(lambda: verify_certificate(list_cert)) == ok
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (1, 1, 12),  # no free row to scan, but the row table alone has 12! rows
+        (1, 1, 10),  # row table 36 288 000 entries
+    ],
+)
+def test_packing_row_table_is_charged(monkeypatch, shape):
+    d, t, k = shape
+    cover = standard_cover(d, t, k)
+    lists = make_assignment([range(1, k + 1)] * d, [range(1, k + 1)] * t)
+    certs = [make_certificate("no_k_packing", x, None, generator="probe") for x in (cover, lists)]
+    stub(monkeypatch, itertools, "permutations")
+    for call in (
+        lambda: search.decide_correspondence_packing(cover),
+        lambda: search.decide_list_packing(lists),
+        lambda: verify_certificate(certs[0]),
+        lambda: verify_certificate(certs[1]),
+    ):
+        with pytest.raises(ResourceLimitError):
+            call()
 
 
 @pytest.mark.parametrize("shape,ok", COLOURING_PROBES)
