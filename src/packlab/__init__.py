@@ -51,7 +51,6 @@ from .packing import (
     PackingMatrix,
     classify_obstructions,
     find_common_derangement,
-    find_extension_with_matchings,
     forbidden_witness_latin_structure,
     is_forbidden,
 )
@@ -72,13 +71,11 @@ from .search import (
     chi_c_star_exact,
     decide_correspondence_colouring,
     decide_correspondence_packing,
-    decide_list_colouring,
     decide_list_packing,
     every_cover_colourable_by_counting,
     find_uncolourable_cover,
     greedy_unpackable_cover,
     random_unpackable_cover_search,
     surjection_count,
-    verify_cover_witness,
     verify_list_witness,
 )

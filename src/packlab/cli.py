@@ -170,9 +170,7 @@ def _cmd_hunt(args) -> int:
         max_seconds=args.budget_seconds,
         seed=args.seed,
     )
-    cover = search.random_unpackable_cover_search(
-        args.d, args.k, args.t, budget, workers=_workers(args)
-    )
+    cover = search.random_unpackable_cover_search(args.d, args.k, args.t, budget)
     if cover is None:
         _emit(args, ["no cover found within budget"], {"found": False})
         return 1
@@ -239,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=("text", "structured"), default="text")
+
+    def add_workers(p):
         p.add_argument("--workers", default=None,
                        help="worker count (default: PACKLAB_WORKERS or 1)")
 
@@ -254,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("formula", "brute", "both"), default="formula")
     add_common(p)
+    add_workers(p)
     p.set_defaults(func=_cmd_forbidden_count)
 
     p = sub.add_parser("thresholds", help="threshold bound table")
@@ -305,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--long", action="store_true", help="include the slow items")
     p.add_argument("--out", help="write the structured report to this path")
     add_common(p)
+    add_workers(p)
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

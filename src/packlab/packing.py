@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perms import Perm, is_permutation, perm_from_str, perm_to_str
+from .perms import Perm, is_permutation
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,6 @@ class PackingMatrix:
     @property
     def d(self) -> int:
         return len(self.rows)
-
-    def to_text(self) -> str:
-        """One serialized permutation per line, d lines."""
-        return "\n".join(perm_to_str(row) for row in self.rows) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PackingMatrix":
-        rows = tuple(perm_from_str(line) for line in text.splitlines() if line.strip())
-        if not rows:
-            raise ValueError("no rows found")
-        return cls(k=len(rows[0]), rows=rows)
 
 
 @dataclass(frozen=True)
@@ -193,24 +182,6 @@ def find_common_derangement(matrix: PackingMatrix) -> Perm | None:
 def is_forbidden(matrix: PackingMatrix) -> bool:
     """True iff no permutation of {1..k} is a derangement of every row."""
     return not has_perfect_matching(admissible_masks(matrix.rows, matrix.k))
-
-
-def find_extension_with_matchings(
-    matrix: PackingMatrix, matchings: list[Perm] | tuple[Perm, ...]
-) -> Perm | None:
-    """Extension after transporting row i through matchings[i].
-
-    Equivalent to find_common_derangement on the matrix whose row i is
-    matchings[i] composed with rows[i].
-    """
-    if len(matchings) != matrix.d:
-        raise ValueError(f"need {matrix.d} matchings, got {len(matchings)}")
-    for m in matchings:
-        if len(m) != matrix.k:
-            raise ValueError(f"matching {m!r} has size {len(m)}, expected {matrix.k}")
-        if not is_permutation(m):
-            raise ValueError(f"matching {m!r} is not a permutation of {{1..{matrix.k}}}")
-    return lex_smallest_system(transported_masks(matrix.rows, matchings, matrix.k))
 
 
 def classify_obstructions(matrix: PackingMatrix) -> ObstructionReport:

@@ -96,10 +96,6 @@ def is_derangement_of(p: Perm, q: Perm) -> bool:
     return all(a != b for a, b in zip(p, q))
 
 
-def has_fixed_point(p: Perm) -> bool:
-    return any(v == j + 1 for j, v in enumerate(p))
-
-
 def all_permutations(k: int) -> Iterator[Perm]:
     """All k! permutations of {1..k}, in lexicographic one-line order.
 

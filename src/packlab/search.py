@@ -124,25 +124,6 @@ def decide_list_packing(assignment: ListAssignment) -> PackingWitness | None:
     return translated
 
 
-def verify_cover_witness(cover: CorrespondenceCover, witness: PackingWitness) -> bool:
-    """Positionwise check of a packing of a correspondence cover."""
-    from .perms import is_permutation
-
-    if len(witness.u_rows) != cover.d or len(witness.v_rows) != cover.t:
-        return False
-    rows = witness.u_rows + witness.v_rows
-    if any(len(r) != cover.k or not is_permutation(r) for r in rows):
-        return False
-    for i in range(cover.d):
-        for j in range(cover.t):
-            sigma = cover.sigma[i][j]
-            u_row = witness.u_rows[i]
-            v_row = witness.v_rows[j]
-            if any(sigma[u_row[s] - 1] == v_row[s] for s in range(cover.k)):
-                return False
-    return True
-
-
 def verify_list_witness(assignment: ListAssignment, witness: PackingWitness) -> bool:
     """Colourwise check of a packing of a list-assignment."""
     if len(witness.u_rows) != assignment.a or len(witness.v_rows) != assignment.b:
@@ -182,24 +163,6 @@ def decide_correspondence_colouring(
             if len(used) == k:
                 break
             v_col.append(min(set(range(1, k + 1)) - used))
-        else:
-            return u_col, tuple(v_col)
-    return None
-
-
-def decide_list_colouring(
-    assignment: ListAssignment,
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """One proper list-colouring (u_colours, v_colours), or None."""
-    check_work(assignment.k**assignment.a * assignment.b * assignment.a, "list colouring decision")
-    for u_col in itertools.product(*assignment.u_lists):
-        used = set(u_col)
-        v_col = []
-        for lst in assignment.v_lists:
-            free = [c for c in lst if c not in used]
-            if not free:
-                break
-            v_col.append(min(free))
         else:
             return u_col, tuple(v_col)
     return None

@@ -144,7 +144,7 @@ def test_hunt_finds_and_writes_reproducible_certificates(tmp_path, capsys):
             "--budget-candidates", "100000", "--no-timestamp"]
     code, out, _ = run(capsys, *argv, "--out", str(a))
     assert code == 0
-    code, out, _ = run(capsys, *argv, "--out", str(b), "--workers", "2")
+    code, out, _ = run(capsys, *argv, "--out", str(b))
     assert code == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -160,9 +160,17 @@ def test_bad_workers_flag_is_input_error(capsys, value):
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])
 def test_bad_workers_env_is_input_error(capsys, monkeypatch, value):
     monkeypatch.setenv("PACKLAB_WORKERS", value)
-    code, _, err = run(capsys, "hunt", "--d", "2", "--k", "3", "--t", "2")
+    code, _, err = run(capsys, "forbidden-count", "--d", "2", "--k", "3", "--method", "brute")
     assert code == 2
     assert "PACKLAB_WORKERS" in err and repr(value) in err
+
+
+def test_workers_flag_only_where_read(capsys):
+    # only forbidden-count and reproduce spread work over processes
+    with pytest.raises(SystemExit) as exc:
+        main(["greedy", "--d", "2", "--k", "3", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_workers_flag_overrides_env(capsys, monkeypatch):

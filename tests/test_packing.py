@@ -9,7 +9,6 @@ from packlab.packing import (
     brute_force_extension,
     classify_obstructions,
     find_common_derangement,
-    find_extension_with_matchings,
     forbidden_witness_latin_structure,
     is_forbidden,
     list_masks,
@@ -78,29 +77,6 @@ def test_matching_agrees_with_brute_force():
         if ext is not None:
             assert_sound(m, ext)
             assert ext == oracle  # both are lexicographically smallest
-
-
-def test_extension_with_matchings_identity_is_plain():
-    rng = random.Random(4)
-    for _ in range(100):
-        m = random_matrix(rng, rng.randint(1, 3), rng.randint(2, 4))
-        ident = identity(m.k)
-        assert find_extension_with_matchings(m, [ident] * m.d) == find_common_derangement(m)
-
-
-def test_extension_with_matchings_composes():
-    m = PackingMatrix(k=3, rows=((1, 2, 3), (1, 2, 3)))
-    swap23 = (1, 3, 2)
-    transformed = PackingMatrix(k=3, rows=((1, 2, 3), compose(swap23, (1, 2, 3))))
-    assert find_extension_with_matchings(m, [identity(3), swap23]) == find_common_derangement(
-        transformed
-    )
-    with pytest.raises(ValueError):
-        find_extension_with_matchings(m, [identity(3)])
-    with pytest.raises(ValueError):
-        find_extension_with_matchings(m, [identity(3), identity(4)])
-    with pytest.raises(ValueError):
-        find_extension_with_matchings(m, [identity(3), (1, 1, 2)])
 
 
 def test_mask_builders_match_references():
@@ -228,14 +204,6 @@ def test_forbiddenness_symmetries():
 
         repositioned = tuple(compose(row, relabel) for row in m.rows)
         assert is_forbidden(PackingMatrix(k=k, rows=repositioned)) == base
-
-
-def test_matrix_text_round_trip():
-    m = PackingMatrix(k=3, rows=((1, 2, 3), (2, 1, 3)))
-    assert m.to_text() == "(1,2,3)\n(2,1,3)\n"
-    assert PackingMatrix.from_text(m.to_text()) == m
-    with pytest.raises(ValueError):
-        PackingMatrix.from_text("(1,2,3)\n(1,1,3)\n")
 
 
 def test_matrix_validation():

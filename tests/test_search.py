@@ -5,9 +5,9 @@ import random
 import pytest
 
 from packlab.blocking import packing_masks
-from packlab.covers import canonicalize, k22_unpackable_cover, make_assignment, standard_cover
+from packlab.covers import canonicalize, k22_unpackable_cover, standard_cover
 from packlab.errors import ResourceLimitError
-from packlab.certificates import make_certificate
+from packlab.certificates import make_certificate, verify_certificate, witness_dict_for_cover
 from packlab.perms import identity, is_derangement_of, perm_to_str
 from packlab.search import (
     SearchBudget,
@@ -15,13 +15,18 @@ from packlab.search import (
     chi_c_star_exact,
     decide_correspondence_colouring,
     decide_correspondence_packing,
-    decide_list_colouring,
     find_uncolourable_cover,
     greedy_unpackable_cover,
     random_unpackable_cover_search,
-    verify_cover_witness,
 )
 from test_covers import random_cover
+
+
+def witness_verifies(cover, witness):
+    """The independent verifier's verdict on a packing_witness certificate."""
+    witness_dict = witness_dict_for_cover(witness.u_rows, witness.v_rows)
+    cert = make_certificate("packing_witness", cover, witness_dict, generator="test")
+    return verify_certificate(cert).accepted
 
 
 def naive_cover_packing_exists(cover):
@@ -53,14 +58,14 @@ def test_standard_cover_packable_with_expected_witness():
     assert witness is not None
     assert witness.u_rows == ((1, 2, 3), (1, 2, 3))
     assert witness.v_rows == ((2, 3, 1), (2, 3, 1))
-    assert verify_cover_witness(standard_cover(2, 2, 3), witness)
+    assert witness_verifies(standard_cover(2, 2, 3), witness)
 
 
 @pytest.mark.parametrize("d,t", [(2, 2), (2, 10), (3, 4), (3, 10)])
 def test_standard_cover_always_packable_at_2d_minus_1(d, t):
     witness = decide_correspondence_packing(standard_cover(d, t, 2 * d - 1))
     assert witness is not None
-    assert verify_cover_witness(standard_cover(d, t, 2 * d - 1), witness)
+    assert witness_verifies(standard_cover(d, t, 2 * d - 1), witness)
 
 
 def test_decider_matches_naive_full_scan():
@@ -93,7 +98,7 @@ def test_every_witness_verifies():
         cover = random_cover(rng, 2, rng.randint(1, 3), rng.randint(2, 4))
         witness = decide_correspondence_packing(cover)
         if witness is not None:
-            assert verify_cover_witness(cover, witness)
+            assert witness_verifies(cover, witness)
             for i in range(cover.d):
                 for j in range(cover.t):
                     transported = tuple(
@@ -110,11 +115,6 @@ def test_colouring_deciders():
 
     single = decide_correspondence_colouring(standard_cover(1, 1, 2))
     assert single is not None
-
-    assignment_colouring = decide_list_colouring(
-        make_assignment([[1, 2]], [[1, 2], [3, 4]])
-    )
-    assert assignment_colouring is not None
 
 
 def test_uncolourable_cover_search():
