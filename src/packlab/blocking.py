@@ -17,6 +17,7 @@ surjective colourings), so mask_c = {c⁻¹·b : b ∈ B}.  Building them costs
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -120,14 +121,34 @@ def colouring_masks(d: int, k: int) -> list[int]:
 def greedy_cover(masks: list[int], n_targets: int) -> tuple[list[int], list[int]]:
     """(picks, trace): repeatedly pick the mask covering the most uncovered
     targets, ties going to the smallest index; trace counts the uncovered
-    targets before the first pick and after each one."""
+    targets before the first pick and after each one.
+
+    Lazy (accelerated) greedy: a heap keeps each unpicked mask c under the
+    key (-bound, c), where bound is its gain at some earlier step; the key
+    is packed into the int -bound·len(masks) + c, which orders the same.
+    Gains only shrink as targets get covered, so every bound is at least
+    the mask's true gain.  The top is rescored and sinks back until its
+    rescored key still precedes every other bound; it then precedes every
+    other true key too, and is exactly the pick of a full rescan.
+    Raises ValueError when some target is covered by no mask.
+    """
     survivors = (1 << n_targets) - 1
     trace = [n_targets]
     picks: list[int] = []
+    nc = len(masks)
+    heap = [-(survivors & m).bit_count() * nc + c for c, m in enumerate(masks)]
+    heapq.heapify(heap)
     while survivors:
-        counts = [(survivors & m).bit_count() for m in masks]
-        best = counts.index(max(counts))
-        if counts[best] == 0:
+        if not heap:
+            raise ValueError("some target is covered by no mask")
+        best = heapq.heappop(heap) % nc
+        gain = (survivors & masks[best]).bit_count()
+        key = -gain * nc + best
+        while heap and key > heap[0]:
+            best = heapq.heapreplace(heap, key) % nc
+            gain = (survivors & masks[best]).bit_count()
+            key = -gain * nc + best
+        if gain == 0:
             raise ValueError("some target is covered by no mask")
         survivors &= ~masks[best]
         picks.append(best)
@@ -148,11 +169,16 @@ def hill_climb_cover(
     Objective: the number of uncovered targets.  Round-robin over the
     picks, each is replaced by the best alternative (fewest uncovered,
     then smallest index) when that improves on it; a round without
-    improvement restarts from a fresh seeded state.  Every replacement
-    scan costs len(masks) evaluations; None once the evaluation budget or
-    the time limit would be exceeded.  Without a time limit the outcome is
-    a function of the inputs alone.
+    improvement restarts from a fresh seeded state.  With U the targets
+    the other picks leave uncovered, mask m leaves |U ∖ m| = |U| − |U ∩ m|
+    uncovered, so the best alternative is the first index with the most
+    hits |U ∩ m|.  Every replacement scan costs len(masks) evaluations;
+    None once the evaluation budget would be exceeded or, checked before
+    each scan, the time limit has passed.  Without a time limit the
+    outcome is a function of the inputs alone.
     """
+    if n_picks < 1:
+        raise ValueError("need n_picks >= 1")  # no scan would ever check a limit
     full = (1 << n_targets) - 1
     nc = len(masks)
     rng = random.Random(seed)
@@ -161,10 +187,10 @@ def hill_climb_cover(
     while True:
         state = [rng.randrange(nc) for _ in range(n_picks)]
         while True:
-            if deadline is not None and time.monotonic() > deadline:
-                return None
             improved = False
             for v in range(n_picks):
+                if deadline is not None and time.monotonic() > deadline:
+                    return None
                 base = 0
                 for w, c in enumerate(state):
                     if w != v:
@@ -173,10 +199,10 @@ def hill_climb_cover(
                 if max_evals is not None and evaluations > max_evals:
                     return None
                 uncovered = full & ~base
-                current = (uncovered & ~masks[state[v]]).bit_count()
-                cnt, best = min(((uncovered & ~m).bit_count(), c) for c, m in enumerate(masks))
-                if cnt < current:
-                    state[v] = best
+                hits = [(uncovered & m).bit_count() for m in masks]
+                most = max(hits)
+                if most > hits[state[v]]:
+                    state[v] = hits.index(most)
                     improved = True
             covered = 0
             for c in state:

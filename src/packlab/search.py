@@ -52,11 +52,31 @@ class PackingWitness:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for randomized search; outcomes are a function of (seed, limits)."""
+    """Limits for randomized search; outcomes are a function of (seed, limits).
+
+    At least one limit must be set: a search with neither may never end.
+    """
 
     max_candidates: int | None = 2_000_000
     max_seconds: float | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Refuse limits the search cannot honour (ValueError)."""
+        count, seconds = self.max_candidates, self.max_seconds
+        if count is not None and (
+            isinstance(count, bool) or not isinstance(count, int) or count < 0
+        ):
+            raise ValueError(f"max_candidates must be None or an integer >= 0, got {count!r}")
+        if seconds is not None and (
+            isinstance(seconds, bool)
+            or not isinstance(seconds, (int, float))
+            or not math.isfinite(seconds)
+            or seconds < 0
+        ):
+            raise ValueError(f"max_seconds must be None or a finite number >= 0, got {seconds!r}")
+        if count is None and seconds is None:
+            raise ValueError("a search budget needs max_candidates or max_seconds")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -53,6 +54,117 @@ def plain_colouring_masks(d, k):
     return masks
 
 
+def plain_greedy_cover(masks, n_targets):
+    """Reference: rescore every mask at every step."""
+    survivors = (1 << n_targets) - 1
+    trace = [n_targets]
+    picks = []
+    while survivors:
+        counts = [(survivors & m).bit_count() for m in masks]
+        best = counts.index(max(counts))
+        if counts[best] == 0:
+            raise ValueError("some target is covered by no mask")
+        survivors &= ~masks[best]
+        picks.append(best)
+        trace.append(survivors.bit_count())
+    return picks, trace
+
+
+def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals):
+    """Reference: the replacement scan minimises the uncovered count directly."""
+    full = (1 << n_targets) - 1
+    nc = len(masks)
+    rng = random.Random(seed)
+    evaluations = 0
+    while True:
+        state = [rng.randrange(nc) for _ in range(n_picks)]
+        while True:
+            improved = False
+            for v in range(n_picks):
+                base = 0
+                for w, c in enumerate(state):
+                    if w != v:
+                        base |= masks[c]
+                evaluations += nc
+                if max_evals is not None and evaluations > max_evals:
+                    return None
+                uncovered = full & ~base
+                current = (uncovered & ~masks[state[v]]).bit_count()
+                cnt, best = min(((uncovered & ~m).bit_count(), c) for c, m in enumerate(masks))
+                if cnt < current:
+                    state[v] = best
+                    improved = True
+            covered = 0
+            for c in state:
+                covered |= masks[c]
+            if covered == full:
+                return state
+            if not improved:
+                break
+
+
+def random_mask_family(rng):
+    """Seeded masks with duplicates (ties) and, sometimes, a target no mask covers."""
+    n_targets = rng.randint(0, 24)
+    density = rng.choice((0.1, 0.3, 0.6))
+    masks = [
+        sum(1 << b for b in range(n_targets) if rng.random() < density)
+        for _ in range(rng.randint(1, 12))
+    ]
+    masks += rng.choices(masks, k=rng.randint(0, 4))
+    rng.shuffle(masks)
+    if n_targets and rng.random() < 0.25:
+        hole = ~(1 << rng.randrange(n_targets))
+        masks = [m & hole for m in masks]
+    return masks, n_targets
+
+
+def outcome(solver, *args):
+    try:
+        return solver(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_greedy_cover_matches_full_rescan():
+    rng = random.Random(0xB10C)
+    errors = 0
+    for _ in range(1500):
+        masks, n_targets = random_mask_family(rng)
+        expected = outcome(plain_greedy_cover, masks, n_targets)
+        assert outcome(greedy_cover, masks, n_targets) == expected
+        errors += expected is ValueError
+    assert errors > 100  # uncoverable targets were exercised
+    assert greedy_cover([], 0) == ([], [0])
+    assert outcome(greedy_cover, [], 1) is ValueError
+
+
+def test_hill_climb_cover_matches_uncovered_count_scan():
+    rng = random.Random(0xC11B)
+    found = lost = 0
+    for _ in range(600):
+        masks, n_targets = random_mask_family(rng)
+        n_picks = rng.randint(1, 4)
+        seed = rng.randrange(1 << 30)
+        # budgets are rarely a whole number of rounds, so most end mid-round
+        max_evals = rng.randint(0, 40 * len(masks))
+        expected = plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals)
+        assert hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, None) == expected
+        if expected is None:
+            lost += 1
+        else:
+            found += 1
+    assert found > 100 and lost > 100
+
+
+def test_hill_climb_cover_pinned_on_d3_k4():
+    # picks recorded with the uncovered-count scan; seed 4 restarts 48 times first
+    masks = packing_masks(3, 4)
+    picks = hill_climb_cover(masks, len(masks), 18, 4, 2_000_000, None)
+    assert picks == [256, 129, 125, 363, 94, 316, 405, 284, 26, 516, 491, 78, 499, 445,
+                     189, 232, 167, 337]
+
+
 def test_column_space_order():
     columns = column_space(3, 3)
     perms = list(itertools.permutations((1, 2, 3)))
@@ -105,3 +217,5 @@ def test_hill_climb_cover_finds_a_cover_or_exhausts_its_budget():
     assert picks is not None and len(picks) == 2
     assert masks[picks[0]] | masks[picks[1]] == 0b1111
     assert hill_climb_cover(masks, 4, 1, seed=0, max_evals=1_000, max_seconds=None) is None
+    with pytest.raises(ValueError):
+        hill_climb_cover(masks, 4, 0, seed=0, max_evals=None, max_seconds=1.0)

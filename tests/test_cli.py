@@ -194,6 +194,17 @@ def test_hunt_without_vertices_is_input_error(capsys):
     assert "t_target" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--budget-candidates", "-5"), ("--budget-seconds", "-1"),
+                   ("--budget-seconds", "nan"), ("--budget-seconds", "inf")],
+)
+def test_hunt_unusable_budget_is_input_error(capsys, flag, value):
+    # exit 1 would claim the budget ran out without a cover
+    code, out, err = run(capsys, "hunt", "--d", "2", "--k", "3", "--t", "1", flag, value)
+    assert code == 2
+    assert "no cover" not in out and "max_" in err
+
+
 def test_chi_subcommand(capsys):
     code, out, _ = run(capsys, "chi", "--param", "c", "--a", "3", "--b", "5")
     assert code == 0 and out.strip() == "3"

@@ -260,6 +260,21 @@ def test_greedy_trace_and_certificate_pinned(d, k):
     assert (trace, digest) == GREEDY_PINS[d, k]
 
 
+def test_greedy_d3_k5_trace_and_certificate_pinned():
+    # the shape where the lazy greedy skips most rescoring; t, the trace's
+    # SHA-256 (of its repr) and the certificate's recorded with the full rescan
+    cover, trace = greedy_unpackable_cover(3, 5)
+    cert = make_certificate("no_k_packing", cover, None, generator="greedy")
+    assert cover.t == len(trace) - 1 == 389
+    assert trace[:3] == [14400, 14320, 14240] and trace[-1] == 0
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == (
+        "6dcd0e2e074661cbdcbde344294a75affa99471f8f682aa0342a078db741b6bc"
+    )
+    assert hashlib.sha256(cert.to_canonical_json().encode()).hexdigest() == (
+        "2bb5ee72ef65fef0735ddf8146b16b86ae7d2f486ae8b3a5e54c9af2a7d81fe8"
+    )
+
+
 def test_greedy_d3_k4():
     cover, trace = greedy_unpackable_cover(3, 4)
     assert cover.t <= 62
@@ -323,6 +338,33 @@ def test_random_search_seed_11_certificate_pinned():
 def test_random_search_respects_time_budget():
     budget = SearchBudget(max_candidates=None, max_seconds=0.0, seed=5)
     assert random_unpackable_cover_search(3, 4, 1, budget) is None
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"max_candidates": None},
+        {"max_candidates": None, "max_seconds": None},
+        {"max_candidates": -1},
+        {"max_candidates": True},
+        {"max_candidates": 2.0},
+        {"max_seconds": -0.5},
+        {"max_seconds": float("nan")},
+        {"max_seconds": float("inf")},
+        {"max_seconds": "1"},
+    ],
+)
+def test_search_budget_refuses_limits_it_cannot_honour(limits):
+    # refused up front: with no limit at all a search for the impossible
+    # single-vertex (2, 3) cover would never end
+    with pytest.raises(ValueError):
+        SearchBudget(**limits)
+
+
+def test_search_budget_accepts_either_limit():
+    assert SearchBudget(max_candidates=0).max_seconds is None
+    assert SearchBudget(max_candidates=None, max_seconds=0).max_seconds == 0
+    assert SearchBudget(max_candidates=10, max_seconds=1.5).max_candidates == 10
 
 
 def test_two_vertex_covers_of_k22_characterized_by_parity():
