@@ -9,7 +9,8 @@ module.  The verifier shares only ``perms`` and ``packing``: from the
 latter, the mask builders (``transported_masks``, ``list_masks``),
 ``has_perfect_matching`` and ``lex_smallest_system``.  Its witness checks
 and its colouring scan are its own; from ``covers`` it takes only the
-instance types and their JSON parsing, from ``errors`` the work check.
+instance types and their JSON parsing, from ``errors`` the work check and
+the deciders' step counts, so it admits every claim a decider could make.
 
 The serialized form is JSON with a fixed field order, produced by
 ``to_canonical_json``; re-serializing a parsed certificate reproduces the
@@ -20,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 from . import __version__
 from .covers import CorrespondenceCover, ListAssignment, int_array
-from .errors import MalformedInputError, check_work
+from .errors import MalformedInputError, check_work, colouring_scan_steps, packing_scan_steps
 from .packing import (
     has_perfect_matching,
     lex_smallest_system,
@@ -203,9 +203,9 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     checked by exhausting every candidate on the U side (first vector
     pinned by colouring-relabeling symmetry) and confirming each one fails
     at some vertex; no_k_colouring claims by exhausting the k^d colourings
-    of U.  Either scan is refused up front when it exceeds the work limit:
-    candidates × V-side vertices × d·k entries (d colours for colourings),
-    or k! × k entries for the packing scan's row table.
+    of U.  Either scan is refused up front when its step count
+    (``packing_scan_steps``, ``colouring_scan_steps``) exceeds the work
+    limit.
     """
     instance = cert.instance
     if cert.claim == "packing_witness":
@@ -217,11 +217,10 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     d, t = (instance.d, instance.t) if is_cover else (instance.a, instance.b)
     k = instance.k
     if cert.claim == "no_k_packing":
-        scan = math.factorial(k) ** (d - 1) * t * d
-        check_work(k * max(math.factorial(k), scan), "no_k_packing verification")
+        check_work(packing_scan_steps(d, t, k), "no_k_packing verification")
         return _verify_no_packing(instance)
     if cert.claim == "no_k_colouring":
-        check_work(k**d * t * d, "no_k_colouring verification")
+        check_work(colouring_scan_steps(d, t, k), "no_k_colouring verification")
         return _verify_no_colouring(instance)
     raise MalformedInputError(f"unknown claim {cert.claim!r}")
 

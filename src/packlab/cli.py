@@ -165,11 +165,15 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    budget = search.SearchBudget(
-        max_candidates=args.budget_candidates,
-        max_seconds=args.budget_seconds,
-        seed=args.seed,
-    )
+    try:
+        budget = search.SearchBudget(
+            max_candidates=args.budget_candidates,
+            max_seconds=args.budget_seconds,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # name the flags the user typed, not the fields
+        message = str(exc).replace("max_candidates", "--budget-candidates")
+        raise MalformedInputError(message.replace("max_seconds", "--budget-seconds")) from None
     cover = search.random_unpackable_cover_search(args.d, args.k, args.t, budget)
     if cover is None:
         _emit(args, ["no cover found within budget"], {"found": False})

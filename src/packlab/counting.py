@@ -152,7 +152,7 @@ def forbidden_count_brute(
     full matrices are still judged one by one.  The reductions and the memo
     are exact and are cross-checked against a plain enumeration in the
     tests.  With ``workers`` > 1 the class blocks are counted in a process
-    pool.
+    pool of at most one process per block.
     """
     if d < 1 or k < 1:
         raise ValueError("need d, k >= 1")
@@ -175,7 +175,7 @@ def forbidden_count_brute(
     if workers > 1 and len(blocks) > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             subcounts = list(
                 pool.map(_count_block, *zip(*[(k, (ident, rep), free_rows - 1) for rep, _ in blocks]))
             )

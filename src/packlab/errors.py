@@ -9,8 +9,11 @@ from its input alone, and passes it to ``check_work`` before any work
 starts.  The unit is one matrix entry or colour carried to one vertex for
 the deciders and the verifier, one cover or matrix for the scans that
 count those, and one machine word for the mask builders; WORK_LIMIT bounds
-them all, and no call can raise it.
+them all, and no call can raise it.  Step counts charged in more than one
+place are defined once, below ``check_work``.
 """
+
+import math
 
 
 class PackLabError(Exception):
@@ -29,6 +32,21 @@ def check_work(steps: int, what: str) -> None:
     """Refuse ``what`` with ResourceLimitError when it needs more than WORK_LIMIT steps."""
     if steps > WORK_LIMIT:
         raise ResourceLimitError(f"{what} needs {steps} steps, over the work limit {WORK_LIMIT}")
+
+
+def packing_scan_steps(d: int, t: int, k: int) -> int:
+    """(k!)^(d-1) candidates × t vertices × d·k entries, or the k! × k row table."""
+    return k * max(math.factorial(k), math.factorial(k) ** (d - 1) * t * d)
+
+
+def colouring_scan_steps(d: int, t: int, k: int) -> int:
+    """k^d colourings × t vertices × d colours."""
+    return k**d * t * d
+
+
+def canonical_cover_count(d: int, t: int, k: int) -> int:
+    """Canonical k-fold covers of K_{d,t}: multisets of t - 1 of the (k!)^(d-1) column types."""
+    return math.comb(math.factorial(k) ** (d - 1) + t - 2, t - 1)
 
 
 class MalformedInputError(PackLabError, ValueError):

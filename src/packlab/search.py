@@ -7,8 +7,9 @@ simultaneously permutes all colour vectors the same way, so the first U
 vector may be pinned to the identity; deciders therefore scan (k!)^(d-1)
 candidates and run one matching check per vertex of V.
 
-Cover constructions work in the same reduced space; they are thin callers
-of ``blocking``, which builds the column masks and solves the set covers.
+Cover constructions and the exhaustive cover scans behind chi_c and chi_c*
+work in the same reduced space; they are thin callers of ``blocking``,
+which builds the column masks and solves the set covers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .covers import (
     PartialMatchingCover,
     list_to_partial_cover,
 )
-from .errors import check_work
+from .errors import canonical_cover_count, check_work, colouring_scan_steps, packing_scan_steps
 from .packing import has_perfect_matching, lex_smallest_system, transported_masks
 from .perms import identity
 
@@ -90,10 +91,10 @@ def _decide_columns(columns, d: int, t: int, k: int) -> PackingWitness | None:
     Scans candidate U matrices with the first row pinned to the identity, in
     lexicographic order of the remaining rows; at each vertex checks for a
     perfect matching between positions and colours.  Returns the first full
-    witness (with lexicographically smallest extensions), or None.  Costs
-    (k!)^(d-1) candidates × t vertices × d·k entries, or k! × k (row table).
+    witness (with lexicographically smallest extensions), or None.  Charged
+    ``packing_scan_steps`` up front.
     """
-    check_work(k * max(math.factorial(k), math.factorial(k) ** (d - 1) * t * d), "packing decision")
+    check_work(packing_scan_steps(d, t, k), "packing decision")
     perms = list(itertools.permutations(range(1, k + 1)))
     ident = identity(k)
     for rest in itertools.product(perms, repeat=d - 1):
@@ -175,7 +176,7 @@ def decide_correspondence_colouring(
     its d transported neighbour colours exhaust all of {1..k}.
     """
     d, t, k = cover.d, cover.t, cover.k
-    check_work(k**d * t * d, "colouring decision")
+    check_work(colouring_scan_steps(d, t, k), "colouring decision")
     for u_col in itertools.product(range(1, k + 1), repeat=d):
         v_col = []
         for j in range(t):
@@ -253,8 +254,7 @@ def find_uncolourable_cover(d: int, t: int, k: int) -> CorrespondenceCover | Non
     """
     if d < 2 or t < 1:
         raise ValueError("need d >= 2 and t >= 1")
-    n_multisets = math.comb(math.factorial(k) ** (d - 1) + t - 2, t - 1)
-    check_work(n_multisets, "uncolourable cover scan")
+    check_work(canonical_cover_count(d, t, k), "uncolourable cover scan")
     masks = colouring_masks(d, k)
     # column 0 (all identities) is pinned at the first vertex
     rest = first_multiset_cover(masks, k**d, t - 1, masks[0])
@@ -304,23 +304,22 @@ def chi_c_exact(a: int, b: int) -> int:
 
 
 def chi_c_star_exact(a: int, b: int) -> int:
-    """Exact correspondence packing number by full canonical-cover scans.
+    """Exact correspondence packing number of K_{a,b} for tiny instances.
 
-    Only tiny instances are feasible: all (k!)^((d-1)(t-1)) canonical covers
-    of K_{d,t}, d <= t, are generated per fold size k and each is decided
-    exhaustively at (k!)^(d-1) candidates × t vertices × d·k entries; a fold
-    whose scan exceeds the work limit is refused before it starts.  The
-    scan stops at the first k whose covers are all packable.
+    For k = 2, 3, ...: the canonical covers of K_{d,t}, d <= t, are scanned
+    like ``find_uncolourable_cover`` scans them, as multisets of columns
+    after the pinned all-identity column; a cover is unpackable iff its
+    columns' packing masks jointly block every candidate.  The least k with
+    no such multiset is the answer.  Each fold is refused before its masks
+    are built when its multiset count exceeds the work limit.
     """
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
+    if min(a, b) == 1:
+        return 2  # trees: every 2-fold cover packs, a 1-fold cover never does
     d, t = (a, b) if a <= b else (b, a)
     for k in itertools.count(2):
-        n_covers = math.factorial(k) ** ((d - 1) * (t - 1))
-        check_work(n_covers * math.factorial(k) ** (d - 1) * t * d * k, f"fold-{k} cover scan")
-        columns = column_space(d, k)
-        if all(
-            decide_correspondence_packing(cover_from_columns(columns, (0,) + rest)) is not None
-            for rest in itertools.product(range(len(columns)), repeat=t - 1)
-        ):
+        check_work(canonical_cover_count(d, t, k), f"fold-{k} cover scan")
+        masks = packing_masks(d, k)
+        if first_multiset_cover(masks, len(masks), t - 1, masks[0]) is None:
             return k

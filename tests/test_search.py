@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from packlab.blocking import packing_masks
+from packlab.blocking import column_space, cover_from_columns, first_multiset_cover, packing_masks
 from packlab.covers import canonicalize, k22_unpackable_cover, standard_cover
 from packlab.errors import ResourceLimitError
 from packlab.certificates import make_certificate, verify_certificate, witness_dict_for_cover
@@ -217,6 +217,53 @@ def test_chi_c_star_k22():
 def test_chi_c_star_star_graphs():
     assert chi_c_star_exact(1, 1) == 2
     assert chi_c_star_exact(1, 3) == 2
+    assert chi_c_star_exact(2, 1) == 2
+
+
+@pytest.mark.parametrize("a,b", [(2, 3), (3, 2), (2, 4), (2, 5), (2, 6), (3, 3)])
+def test_chi_c_star_small_values(a, b):
+    assert chi_c_star_exact(a, b) == 4
+
+
+def first_unpackable_product_cover(d, t, k):
+    """Reference scan: the free columns, in product order, of the first
+    canonical cover of K_{d,t} that the decider finds unpackable, or None."""
+    columns = column_space(d, k)
+    for rest in itertools.product(range(len(columns)), repeat=t - 1):
+        if decide_correspondence_packing(cover_from_columns(columns, (0,) + rest)) is None:
+            return rest
+    return None
+
+
+# every fold up to the answer 4, and fold 5 of (2, 2), where the reference
+# is quick; (3, 3) stops at fold 3 (331 776 covers at fold 4) and (4, 2)
+# at fold 3 (packing_masks(4, 4) alone takes about 40 s)
+@pytest.mark.parametrize(
+    "d,t,k",
+    [(2, 2, k) for k in (2, 3, 4, 5)]
+    + [(d, t, k) for d, t in ((2, 3), (3, 2), (2, 4)) for k in (2, 3, 4)]
+    + [(3, 3, 2), (3, 3, 3), (4, 2, 2), (4, 2, 3)],
+)
+def test_multiset_scan_matches_product_scan(d, t, k):
+    # the product-order first is sorted (sorting never makes a tuple later),
+    # so it is also the first multiset
+    masks = packing_masks(d, k)
+    rest = first_multiset_cover(masks, len(masks), t - 1, masks[0])
+    assert rest == first_unpackable_product_cover(d, t, k)
+    if rest is not None:
+        cover = cover_from_columns(column_space(d, k), (0,) + rest)
+        assert decide_correspondence_packing(cover) is None
+        cert = make_certificate("no_k_packing", cover, None, generator="test")
+        assert verify_certificate(cert).accepted
+
+
+def test_sampled_k33_four_fold_covers_pack():
+    # chi_c*(K_{3,3}) = 4 says every 4-fold cover packs; sample the canonical ones
+    columns = column_space(3, 4)
+    rng = random.Random(0)
+    for _ in range(2000):
+        rest = (rng.randrange(len(columns)), rng.randrange(len(columns)))
+        assert decide_correspondence_packing(cover_from_columns(columns, (0,) + rest)) is not None
 
 
 def test_reduced_space_masks():

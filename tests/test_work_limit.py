@@ -153,19 +153,29 @@ def test_forbidden_count_gate(monkeypatch, d, k, reduce, ok):
     assert admitted(call) == ok
 
 
-@pytest.mark.parametrize("a,b,fold,ok", [(2, 4, 4, True), (2, 5, 4, False), (3, 3, 4, False)])
+@pytest.mark.parametrize(
+    "a,b,fold,ok",
+    [
+        (2, 4, 4, True),  # C(26, 3) = 2 600 multisets
+        (2, 9, 4, True),  # C(31, 8) = 7 888 725
+        (2, 10, 4, False),  # C(32, 9) = 28 048 800
+        (3, 3, 4, True),  # C(577, 2) = 166 176
+        (3, 4, 4, False),  # C(578, 3) = 32 016 576
+    ],
+)
 def test_chi_c_star_fold_gate(monkeypatch, a, b, fold, ok):
-    # folds below `fold` are made to fail at their first cover, so the scan
-    # moves on to `fold`, whose first decision raises Reached if admitted
-    def decide(cover):
-        if cover.k < fold:
-            return None
+    # folds below `fold` get one mask blocking their single candidate, so
+    # some cover is unpackable and the scan moves on to `fold`, whose mask
+    # build raises Reached if the multiset count is admitted
+    def masks(d, k):
+        if k < fold:
+            return [1]
         raise Reached
 
-    monkeypatch.setattr(search, "decide_correspondence_packing", decide)
+    monkeypatch.setattr(search, "packing_masks", masks)
     assert admitted(lambda: search.chi_c_star_exact(a, b)) == ok
 
 
-def test_chi_c_star_refuses_k33():
-    with pytest.raises(ResourceLimitError, match="fold-4"):
-        search.chi_c_star_exact(3, 3)
+def test_chi_c_star_refuses_k34():
+    with pytest.raises(ResourceLimitError, match="fold-4 cover scan needs 32016576 steps"):
+        search.chi_c_star_exact(3, 4)
