@@ -9,15 +9,21 @@ admitting no permutation of that list deranging all three rows.  The
 instance is unpackable iff the V lists jointly block all 36 candidates, so
 exact list-packing thresholds reduce to minimum set-cover questions over
 blocked-candidate masks, which ``blocking.min_cover_size`` solves exactly.
+
+The masks take no matching per (candidate, list) pair: a list's mask is the
+union of the arrangements whose Hall cuts (``_hall_cuts``) it meets.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 
 from .blocking import min_cover_size
 from .covers import ListAssignment, make_assignment
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_work
 from .packing import has_perfect_matching, list_masks
 
 #: the twelve reference matrices of the distinct-list types; rows are colour
@@ -151,17 +157,56 @@ def _effective_lists(u_lists) -> list[tuple[int, ...]]:
     return [tuple(sorted(c)) for c in itertools.combinations(used + fresh, k)]
 
 
-def _block_masks(u_lists, targets_of, blocks) -> tuple[list, dict[tuple[int, ...], int]]:
-    """(targets, mask per effective list) over the sorted lists; bit m is set
-    when blocks(targets[m], list).  Lists with zero mask are dropped."""
+def _colour_bits(colours) -> int:
+    """A colour set as a bitmask: bit c stands for colour c."""
+    bits = 0
+    for c in colours:
+        bits |= 1 << c
+    return bits
+
+
+def _hall_cuts(rows) -> set[tuple[int, int]]:
+    """Hall cuts of an arrangement: pairs (I_J, need = k - |J| + 1) with
+    |I_J| >= need, where I_J is the bitmask of the colours common to the
+    columns of a nonempty slot set J.
+
+    By Hall's theorem a k-list L admits no permutation deranging every row
+    iff, for some J, fewer than |J| of its colours (L ∖ I_J) are admissible
+    at a slot of J, i.e. iff |L ∩ I_J| >= need for some cut.
+    """
+    k = len(rows[0])
+    cols = [_colour_bits(row[s] for row in rows) for s in range(k)]
+    cuts = set()
+    for size in range(1, k + 1):
+        need = k - size + 1
+        for subset in itertools.combinations(cols, size):
+            inter = functools.reduce(operator.and_, subset)
+            if inter.bit_count() >= need:
+                cuts.add((inter, need))
+    return cuts
+
+
+def _block_masks(u_lists, targets_of, cuts_of) -> tuple[list, dict[tuple[int, ...], int]]:
+    """(targets, mask per effective list) over the sorted lists.
+
+    A list L blocks a target iff |L ∩ I| >= need for one of the (colour
+    bitmask I, need) pairs of ``cuts_of(target)``; each list is tested once
+    per distinct cut.  Bit m of a mask is set when the list blocks
+    targets[m]; lists with zero mask are dropped.
+    """
     u_sorted = [tuple(sorted(lst)) for lst in u_lists]
     targets = targets_of(u_sorted)
+    hit: dict[tuple[int, int], int] = {}
+    for m, target in enumerate(targets):
+        for cut in cuts_of(target):
+            hit[cut] = hit.get(cut, 0) | 1 << m
     masks: dict[tuple[int, ...], int] = {}
     for lst in _effective_lists(u_sorted):
+        bits = _colour_bits(lst)
         mask = 0
-        for m, target in enumerate(targets):
-            if blocks(target, lst):
-                mask |= 1 << m
+        for (inter, need), blocked in hit.items():
+            if (bits & inter).bit_count() >= need:
+                mask |= blocked
         if mask:
             masks[lst] = mask
     return targets, masks
@@ -171,27 +216,35 @@ def packing_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int,
     """(arrangements, mask per effective list) for the packing problem.
 
     Bit m of a mask is set when the list blocks arrangement m (no
-    permutation of the list is a common derangement of its rows).  Lists
-    with zero mask are dropped.
+    permutation of the list is a common derangement of its rows), decided
+    by the arrangement's Hall cuts.  Lists with zero mask are dropped.
     """
-    return _block_masks(u_lists, _arrangements, lambda rows, lst: not check_case_matrix(rows, lst))
+    return _block_masks(u_lists, _arrangements, _hall_cuts)
 
 
 def colouring_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
     """Masks for the single-colouring problem: colourings of U are the
-    products of the lists; a list blocks a colouring iff it is contained in
-    the colouring's value set."""
+    products of the lists; a k-list blocks a colouring iff it is contained
+    in the colouring's value set V, i.e. iff |L ∩ V| >= k."""
+    k = len(u_lists[0])
     return _block_masks(
-        u_lists, lambda u: list(itertools.product(*u)), lambda col, lst: set(lst) <= set(col)
+        u_lists, lambda u: list(itertools.product(*u)), lambda col: [(_colour_bits(col), k)]
     )
 
 
-def _list_threshold(k: int, limit: int, block_masks) -> int | None:
+def _list_threshold(k: int, limit: int, block_masks, candidates: int, what: str) -> int | None:
     """Least exact cover number, at most ``limit``, over every isomorphism
     type of k-list triples (repeated lists included); None when no type can
-    be fully blocked within the limit."""
+    be fully blocked within the limit.
+
+    Every type has ``candidates`` targets and C(colours + k, k) effective
+    lists; the (target, list) pairs of all types are charged up front.
+    """
+    types = enumerate_triple_types(k, allow_repeats=True)
+    pairs = sum(math.comb(len(set().union(*triple)) + k, k) for triple in types)
+    check_work(candidates * pairs, f"{what} for k = {k}")
     best: int | None = None
-    for triple in enumerate_triple_types(k, allow_repeats=True):
+    for triple in types:
         targets, masks = block_masks(triple)
         cur_limit = limit if best is None else best - 1
         if cur_limit < 1:
@@ -209,28 +262,20 @@ def list_packing_threshold(k: int, limit: int = 12) -> int | None:
     triples (repeated lists included).  None when no type can be fully
     blocked within ``limit`` vertices.
     """
-    return _list_threshold(k, limit, packing_block_masks)
+    return _list_threshold(
+        k, limit, packing_block_masks, math.factorial(k) ** 2, "the list packing threshold"
+    )
 
 
 def list_colouring_threshold(k: int, limit: int = 30) -> int | None:
     """Least t admitting an uncolourable k-assignment on a 3-vertex small side."""
-    return _list_threshold(k, limit, colouring_block_masks)
+    return _list_threshold(k, limit, colouring_block_masks, k**3, "the list colouring threshold")
 
 
-def _arrangement_blockable(rows, k: int) -> bool:
-    """True iff some k-list fails Hall's condition against these rows.
-
-    A list L fails iff some slot subset J only offers |J|-1 choices, i.e.
-    |L ∖ ∩_{s in J} col_s| < |J|; a suitable L (padded with fresh colours)
-    exists iff the columns of some J share at least k - |J| + 1 elements.
-    """
-    cols = [set(row[s] for row in rows) for s in range(k)]
-    for r in range(1, k + 1):
-        for subset in itertools.combinations(cols, r):
-            inter = set.intersection(*subset)
-            if len(inter) >= k - r + 1:
-                return True
-    return False
+def _arrangement_blockable(rows) -> bool:
+    """True iff some k-list (padded with fresh colours) blocks these rows,
+    i.e. iff the arrangement has a Hall cut."""
+    return bool(_hall_cuts(rows))
 
 
 def chi_l_exact(a: int, b: int) -> int:
@@ -284,7 +329,7 @@ def chi_l_star_exact(a: int, b: int, limit: int = 12) -> int:
     # a type with an arrangement no 4-list blocks is never unpackable,
     # whatever the other side looks like
     for triple in enumerate_triple_types(4, allow_repeats=True):
-        if all(_arrangement_blockable(rows, 4) for rows in _arrangements(triple)):
+        if all(_arrangement_blockable(rows) for rows in _arrangements(triple)):
             raise AssertionError(f"fold-4 ceiling fails for type {triple}")
     return 4
 

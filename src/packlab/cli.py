@@ -9,7 +9,6 @@ malformed input.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
@@ -57,6 +56,10 @@ def _emit(args, text_lines, structured) -> None:
 
 
 def _timestamp() -> str:
+    # imported on first use: importing datetime leaves its pure-Python
+    # definitions behind as cyclic garbage, held until a full collection
+    import datetime
+
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
@@ -173,7 +176,9 @@ def _cmd_hunt(args) -> int:
         )
     except ValueError as exc:  # name the flags the user typed, not the fields
         message = str(exc).replace("max_candidates", "--budget-candidates")
-        raise MalformedInputError(message.replace("max_seconds", "--budget-seconds")) from None
+        message = message.replace("max_seconds", "--budget-seconds")
+        # neither flag can be given None, so do not offer it
+        raise MalformedInputError(message.replace("None or ", "")) from None
     cover = search.random_unpackable_cover_search(args.d, args.k, args.t, budget)
     if cover is None:
         _emit(args, ["no cover found within budget"], {"found": False})

@@ -8,9 +8,10 @@ Every exhaustive scan states its worst-case step count up front, computed
 from its input alone, and passes it to ``check_work`` before any work
 starts.  The unit is one matrix entry or colour carried to one vertex for
 the deciders and the verifier, one cover or matrix for the scans that
-count those, and one machine word for the mask builders; WORK_LIMIT bounds
-them all, and no call can raise it.  Step counts charged in more than one
-place are defined once, below ``check_work``.
+count those, one machine word for the mask builders, and one (candidate,
+list) pair for the list thresholds; WORK_LIMIT bounds them all, and no call
+can raise it.  Step counts charged in more than one place are defined once,
+below ``check_work``.
 """
 
 import math

@@ -10,6 +10,8 @@ import packlab
 from packlab.cases import (
     CASE_MATRICES,
     _arrangement_blockable,
+    _arrangements,
+    _effective_lists,
     a10_assignment,
     canonical_triple,
     check_case_matrix,
@@ -140,14 +142,69 @@ def test_reference_matrix_12_blocking_lists():
     assert blocked == {(3, 4, 6), (3, 4, 7), (3, 5, 6), (3, 5, 7)}
 
 
-def test_structural_blockability_matches_hall_masks():
+def plain_packing_block_masks(u_lists):
+    """Reference: one matching per (arrangement, list) pair."""
+    u_sorted = [tuple(sorted(lst)) for lst in u_lists]
+    arrangements = _arrangements(u_sorted)
+    masks = {}
+    for lst in _effective_lists(u_sorted):
+        mask = 0
+        for m, rows in enumerate(arrangements):
+            if not check_case_matrix(rows, lst):
+                mask |= 1 << m
+        if mask:
+            masks[lst] = mask
+    return arrangements, masks
+
+
+def plain_colouring_block_masks(u_lists):
+    """Reference: a list blocks a colouring iff it lies in its value set."""
+    u_sorted = [tuple(sorted(lst)) for lst in u_lists]
+    colourings = list(itertools.product(*u_sorted))
+    masks = {}
+    for lst in _effective_lists(u_sorted):
+        mask = 0
+        for m, col in enumerate(colourings):
+            if set(lst) <= set(col):
+                mask |= 1 << m
+        if mask:
+            masks[lst] = mask
+    return colourings, masks
+
+
+SEEDED_K4_TYPES = random.Random(9).sample(enumerate_triple_types(4, allow_repeats=True), 2)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    enumerate_triple_types(2, allow_repeats=True)
+    + enumerate_triple_types(3, allow_repeats=True)
+    + SEEDED_K4_TYPES,
+)
+def test_hall_cut_masks_match_one_matching_per_pair(triple):
+    assert packing_block_masks(triple) == plain_packing_block_masks(triple)
+    assert colouring_block_masks(triple) == plain_colouring_block_masks(triple)
+
+
+def matching_blockable(rows, u_lists) -> bool:
+    """Oracle: some effective list has no permutation deranging every row."""
+    return any(not check_case_matrix(rows, lst) for lst in _effective_lists(u_lists))
+
+
+def test_structural_blockability_matches_matching_engine():
     for triple in enumerate_triple_types(3, allow_repeats=True):
-        arrangements, masks = packing_block_masks(triple)
-        blockable = 0
-        for mask in masks.values():
-            blockable |= mask
-        for idx, rows in enumerate(arrangements):
-            assert bool(blockable >> idx & 1) == _arrangement_blockable(rows, 3)
+        for rows in _arrangements(triple):
+            assert _arrangement_blockable(rows) == matching_blockable(rows, triple), rows
+    rng = random.Random(4)
+    types = enumerate_triple_types(4, allow_repeats=True)
+    seen = set()
+    for _ in range(60):
+        triple = rng.choice(types)
+        rows = rng.choice(_arrangements(triple))
+        blockable = _arrangement_blockable(rows)
+        assert blockable == matching_blockable(rows, triple), rows
+        seen.add(blockable)
+    assert seen == {True, False}
 
 
 def test_min_cover_size_basics():

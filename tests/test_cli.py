@@ -203,6 +203,7 @@ def test_hunt_unusable_budget_is_input_error(capsys, flag, value):
     code, out, err = run(capsys, "hunt", "--d", "2", "--k", "3", "--t", "1", flag, value)
     assert code == 2
     assert "no cover" not in out and f"error: {flag} must be" in err
+    assert "None" not in err  # neither flag accepts None
 
 
 def test_chi_subcommand(capsys):

@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 import packlab.blocking as blocking
+import packlab.cases as cases
 import packlab.counting as counting
 import packlab.search as search
 from packlab.certificates import make_certificate, verify_certificate
@@ -179,3 +180,28 @@ def test_chi_c_star_fold_gate(monkeypatch, a, b, fold, ok):
 def test_chi_c_star_refuses_k34():
     with pytest.raises(ResourceLimitError, match="fold-4 cover scan needs 32016576 steps"):
         search.chi_c_star_exact(3, 4)
+
+
+@pytest.mark.parametrize(
+    "kind,k,steps,ok",
+    [
+        ("packing", 4, 9_138_240, True),  # 30 types × 576 arrangements × their lists
+        ("packing", 5, 2_438_726_400, False),  # 50 types × 14 400 arrangements
+        ("colouring", 4, 1_015_360, True),  # 30 types × 64 colourings
+        ("colouring", 5, 21_169_500, False),  # 50 types × 125 colourings
+    ],
+)
+def test_list_threshold_gate(monkeypatch, kind, k, steps, ok):
+    # (candidate, effective list) pairs over all k-list triple types,
+    # charged before the first mask build
+    charged = []
+
+    def recording_check(n, what):
+        charged.append(n)
+        check_work(n, what)
+
+    monkeypatch.setattr(cases, "check_work", recording_check)
+    stub(monkeypatch, cases, f"{kind}_block_masks")
+    threshold = getattr(cases, f"list_{kind}_threshold")
+    assert admitted(lambda: threshold(k)) == ok
+    assert charged == [steps]
