@@ -3,15 +3,21 @@
 With |U| = 3 and 3-lists, the assignment on U is one of finitely many
 isomorphism types (colour renaming + permuting the three vertices): twelve
 types when the three lists are pairwise distinct, sixteen including repeated
-lists.  Fixing the arrangement of L(u_1), a type leaves 36 candidate
-matrices (rows 2 and 3 permuted); a list on the V side blocks the matrices
-admitting no permutation of that list deranging all three rows.  The
-instance is unpackable iff the V lists jointly block all 36 candidates, so
-exact list-packing thresholds reduce to minimum set-cover questions over
+lists.  A type is given by its seven Venn-region sizes, from which both
+the canonical form and the enumeration of types are built.  Fixing the
+arrangement of L(u_1), a type leaves 36 candidate matrices (rows 2 and 3
+permuted); a list on the V side blocks the matrices admitting no
+permutation of that list deranging all three rows.  The instance is
+unpackable iff the V lists jointly block all 36 candidates, so exact
+list-packing thresholds reduce to minimum set-cover questions over
 blocked-candidate masks, which ``blocking.min_cover_size`` solves exactly.
 
 The masks take no matching per (candidate, list) pair: a list's mask is the
-union of the arrangements whose Hall cuts (``_hall_cuts``) it meets.
+union of the targets whose cuts (``_hall_cuts`` for arrangements) it
+meets, and a target is blockable iff it has a cut.  So the thresholds take
+no search limit: a type with an uncut target is skipped, any other is
+coverable by one list per target.  The fold-4 ceiling behind
+``chi_l_star_exact`` is ``list_packing_threshold(4) is None``.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import Iterator
 
 from .blocking import min_cover_size
 from .covers import ListAssignment, make_assignment
@@ -62,65 +69,62 @@ def check_case_matrix(rows: tuple[tuple[int, ...], ...], v_list) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _venn_form(sizes) -> tuple[tuple[int, ...], ...]:
+    """Canonical form of a triple from its Venn-region sizes.
+
+    ``sizes[m]`` counts the colours lying in exactly the lists of bitmask m
+    (bit i for list i, m = 1..7).  For each of the six vertex orders
+    (A, B, C) the least labelling numbers the regions consecutively in the
+    order ABC, AB, AC, A, BC, B, C; the form is the least of the six
+    resulting tuples of sorted label rows.
+    """
+    forms = []
+    for a, b, c in itertools.permutations((1, 2, 4)):
+        rows: tuple[list[int], ...] = ([], [], [])
+        start = 1
+        for region in (a | b | c, a | b, a | c, a, b | c, b, c):
+            end = start + sizes[region]
+            for row, bit in zip(rows, (a, b, c)):
+                if region & bit:
+                    row.extend(range(start, end))
+            start = end
+        forms.append(tuple(map(tuple, rows)))
+    return min(forms)
+
+
 def canonical_triple(lists) -> tuple[tuple[int, ...], ...]:
-    """Canonical form of a triple of equal-size colour sets.
+    """Canonical form of a triple of colour sets.
 
     Minimum, over the six vertex orders and all colour relabelings that
     assign fresh labels in first-use order, of the tuple of sorted label
     rows.  Two triples get the same form iff a colour bijection plus a
-    vertex permutation maps one to the other.
-
-    For a vertex order (A, B, C) the minimum is set by the Venn-region
-    sizes alone: A takes 1..|A| with A∩B first, B∖A takes the next labels,
-    and C's row is the least labels of each of its four regions.
+    vertex permutation maps one to the other; the form depends on the
+    seven Venn-region sizes alone.
     """
-    rows_in = [frozenset(lst) for lst in lists]
-    if len(rows_in) != 3:
+    rows = [frozenset(lst) for lst in lists]
+    if len(rows) != 3:
         raise ValueError("need exactly three lists")
-
-    def labels(start: int, count: int) -> tuple[int, ...]:
-        return tuple(range(start, start + count))
-
-    forms = []
-    for a, b, c in itertools.permutations(rows_in):
-        na, nab, nb_new = len(a), len(a & b), len(b - a)
-        row_c = (
-            labels(1, len(a & b & c))
-            + labels(nab + 1, len((a & c) - b))
-            + labels(na + 1, len((b & c) - a))
-            + labels(na + nb_new + 1, len(c - a - b))
-        )
-        forms.append((labels(1, na), labels(1, nab) + labels(na + 1, nb_new), row_c))
-    return min(forms)
+    sizes = [0] * 8
+    for colour in rows[0] | rows[1] | rows[2]:
+        sizes[sum(1 << i for i, row in enumerate(rows) if colour in row)] += 1
+    return _venn_form(sizes)
 
 
 def enumerate_triple_types(k: int, allow_repeats: bool = False) -> list[tuple[tuple[int, ...], ...]]:
-    """All isomorphism types of triples of k-lists, as canonical forms.
+    """All isomorphism types of triples of k-lists, as sorted canonical forms.
 
-    Candidates are generated with the first list {1..k} and fresh colours
-    introduced in increasing order, which reaches every type; canonical
-    forms dedupe them.
+    A type is its Venn-region sizes: the four shared regions range over
+    0..k and each list's own region fills it up to k.  A form with two
+    equal rows has a repeated list.
     """
-
-    def extensions(used: set[int]):
-        top = max(used)
-        options = []
-        for j in range(k + 1):
-            for shared in itertools.combinations(sorted(used), j):
-                fresh = tuple(range(top + 1, top + 1 + (k - j)))
-                options.append(frozenset(shared + fresh))
-        return options
-
-    first = frozenset(range(1, k + 1))
-    types: dict[tuple, None] = {}
-    for second in extensions(set(first)):
-        used2 = set(first | second)
-        for third in extensions(used2):
-            triple = [first, second, third]
-            if not allow_repeats and len({first, second, third}) != 3:
-                continue
-            types.setdefault(canonical_triple(triple), None)
-    return sorted(types.keys())
+    types = set()
+    for abc, ab, ac, bc in itertools.product(range(k + 1), repeat=4):
+        own = (k - abc - ab - ac, k - abc - ab - bc, k - abc - ac - bc)
+        if min(own) >= 0:
+            form = _venn_form((0, own[0], own[1], ab, own[2], ac, bc, abc))
+            if allow_repeats or len(set(form)) == 3:
+                types.add(form)
+    return sorted(types)
 
 
 def u_side_list_types() -> list[tuple[tuple[int, ...], ...]]:
@@ -186,22 +190,40 @@ def _hall_cuts(rows) -> set[tuple[int, int]]:
     return cuts
 
 
-def _block_masks(u_lists, targets_of, cuts_of) -> tuple[list, dict[tuple[int, ...], int]]:
-    """(targets, mask per effective list) over the sorted lists.
+def _packing_cuts(u_lists) -> tuple[list, Iterator[set[tuple[int, int]]]]:
+    """(arrangements, the Hall cuts of each, computed lazily)."""
+    arrangements = _arrangements(u_lists)
+    return arrangements, map(_hall_cuts, arrangements)
 
-    A list L blocks a target iff |L ∩ I| >= need for one of the (colour
-    bitmask I, need) pairs of ``cuts_of(target)``; each list is tested once
-    per distinct cut.  Bit m of a mask is set when the list blocks
-    targets[m]; lists with zero mask are dropped.
+
+def _colouring_cuts(u_lists) -> tuple[list, list[set[tuple[int, int]]]]:
+    """(colourings of U, the cut of each).
+
+    The colourings are the products of the sorted lists.  A k-list blocks a
+    colouring iff it lies in the colouring's value set V, i.e. iff
+    |L ∩ V| >= k, so (V, k) is its one cut when |V| >= k and it has none
+    otherwise.
     """
-    u_sorted = [tuple(sorted(lst)) for lst in u_lists]
-    targets = targets_of(u_sorted)
+    k = len(u_lists[0])
+    colourings = list(itertools.product(*map(sorted, u_lists)))
+    values = map(_colour_bits, colourings)
+    return colourings, [{(v, k)} if v.bit_count() >= k else set() for v in values]
+
+
+def _block_masks(u_lists, cuts) -> dict[tuple[int, ...], int]:
+    """Mask per effective list, given the cuts of every target.
+
+    A list L blocks target m iff |L ∩ I| >= need for one of the (colour
+    bitmask I, need) pairs of cuts[m]; each list is tested once per
+    distinct cut.  Bit m of a mask is set when the list blocks target m;
+    lists with zero mask are dropped.
+    """
     hit: dict[tuple[int, int], int] = {}
-    for m, target in enumerate(targets):
-        for cut in cuts_of(target):
+    for m, target_cuts in enumerate(cuts):
+        for cut in target_cuts:
             hit[cut] = hit.get(cut, 0) | 1 << m
     masks: dict[tuple[int, ...], int] = {}
-    for lst in _effective_lists(u_sorted):
+    for lst in _effective_lists(u_lists):
         bits = _colour_bits(lst)
         mask = 0
         for (inter, need), blocked in hit.items():
@@ -209,7 +231,7 @@ def _block_masks(u_lists, targets_of, cuts_of) -> tuple[list, dict[tuple[int, ..
                 mask |= blocked
         if mask:
             masks[lst] = mask
-    return targets, masks
+    return masks
 
 
 def packing_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
@@ -219,119 +241,95 @@ def packing_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int,
     permutation of the list is a common derangement of its rows), decided
     by the arrangement's Hall cuts.  Lists with zero mask are dropped.
     """
-    return _block_masks(u_lists, _arrangements, _hall_cuts)
+    arrangements, cuts = _packing_cuts(u_lists)
+    return arrangements, _block_masks(u_lists, cuts)
 
 
 def colouring_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
-    """Masks for the single-colouring problem: colourings of U are the
-    products of the lists; a k-list blocks a colouring iff it is contained
-    in the colouring's value set V, i.e. iff |L ∩ V| >= k."""
-    k = len(u_lists[0])
-    return _block_masks(
-        u_lists, lambda u: list(itertools.product(*u)), lambda col: [(_colour_bits(col), k)]
-    )
+    """(colourings, mask per effective list) for the single-colouring problem."""
+    colourings, cuts = _colouring_cuts(u_lists)
+    return colourings, _block_masks(u_lists, cuts)
 
 
-def _list_threshold(k: int, limit: int, block_masks, candidates: int, what: str) -> int | None:
-    """Least exact cover number, at most ``limit``, over every isomorphism
-    type of k-list triples (repeated lists included); None when no type can
-    be fully blocked within the limit.
+def _list_threshold(k: int, target_cuts, candidates: int, what: str) -> int | None:
+    """Least exact cover number over every isomorphism type of k-list
+    triples (repeated lists included); None when no type can be fully
+    blocked.
 
-    Every type has ``candidates`` targets and C(colours + k, k) effective
-    lists; the (target, list) pairs of all types are charged up front.
+    ``target_cuts(triple)`` gives the type's ``candidates`` targets and
+    their cuts.  A target blocked by no list has no cut, so a type with
+    one is skipped before any mask is built; every other type is coverable
+    by at most one list per target.  Each type has C(colours + k, k)
+    effective lists; the (target, list) pairs of all types are charged up
+    front.
     """
     types = enumerate_triple_types(k, allow_repeats=True)
     pairs = sum(math.comb(len(set().union(*triple)) + k, k) for triple in types)
     check_work(candidates * pairs, f"{what} for k = {k}")
     best: int | None = None
     for triple in types:
-        targets, masks = block_masks(triple)
-        cur_limit = limit if best is None else best - 1
-        if cur_limit < 1:
-            break
-        size = min_cover_size(list(masks.values()), len(targets), cur_limit)
-        if size is not None and (best is None or size < best):
+        targets, cuts = target_cuts(triple)
+        cuts = list(itertools.takewhile(bool, cuts))
+        if len(cuts) < len(targets):
+            continue
+        bound = len(targets) if best is None else best - 1
+        size = min_cover_size(list(_block_masks(triple, cuts).values()), len(targets), bound)
+        if size is not None:
             best = size
     return best
 
 
-def list_packing_threshold(k: int, limit: int = 12) -> int | None:
+def list_packing_threshold(k: int) -> int | None:
     """Least t admitting an unpackable k-assignment on a 3-vertex small side.
 
     Minimizes the exact cover number over every isomorphism type of list
     triples (repeated lists included).  None when no type can be fully
-    blocked within ``limit`` vertices.
+    blocked, whatever t.
     """
-    return _list_threshold(
-        k, limit, packing_block_masks, math.factorial(k) ** 2, "the list packing threshold"
-    )
+    return _list_threshold(k, _packing_cuts, math.factorial(k) ** 2, "the list packing threshold")
 
 
-def list_colouring_threshold(k: int, limit: int = 30) -> int | None:
+def list_colouring_threshold(k: int) -> int | None:
     """Least t admitting an uncolourable k-assignment on a 3-vertex small side."""
-    return _list_threshold(k, limit, colouring_block_masks, k**3, "the list colouring threshold")
+    return _list_threshold(k, _colouring_cuts, k**3, "the list colouring threshold")
 
 
-def _arrangement_blockable(rows) -> bool:
-    """True iff some k-list (padded with fresh colours) blocks these rows,
-    i.e. iff the arrangement has a Hall cut."""
-    return bool(_hall_cuts(rows))
+def _three_vertex_number(a: int, b: int, threshold, name: str) -> int:
+    """2, 3 or 4 for K_{a,b} with a 3-vertex side, from the thresholds.
+
+    With t the other side, the value is 2 below threshold(2), 3 below
+    threshold(3), else 4; the fold-4 ceiling is threshold(4) is None (no
+    4-assignment on a 3-vertex side fails, whatever t).
+    """
+    if 3 not in (a, b):
+        raise ResourceLimitError(f"{name} supports a 3-vertex side, got K_{{{a},{b}}}")
+    t = b if a == 3 else a
+    m2, m3 = threshold(2), threshold(3)
+    if m2 is None or m3 is None or threshold(4) is not None:
+        raise AssertionError(f"{name}: folds 2 and 3 need a threshold and fold 4 none")
+    return 2 if t < m2 else 3 if t < m3 else 4
 
 
 def chi_l_exact(a: int, b: int) -> int:
     """Exact list chromatic number of K_{a,b}; supported for min(a,b) = 3.
 
-    Thresholds from the cover analysis: with 3-vertex small side, some
-    2-assignment is uncolourable once the large side reaches
+    Some 2-assignment is uncolourable once the large side reaches
     list_colouring_threshold(2), some 3-assignment once it reaches
     list_colouring_threshold(3) (= 27, disjoint lists with all transversal
-    triples), and 4 colours always suffice by greedy.
+    triples), and 4 colours always suffice (a colouring of U uses at most
+    three colours, so no 4-list is blocked).
     """
-    if a == 3:
-        t = b
-    elif b == 3:
-        t = a
-    else:
-        raise ResourceLimitError(f"chi_l_exact supports a 3-vertex side, got K_{{{a},{b}}}")
-    m2 = list_colouring_threshold(2)
-    m3 = list_colouring_threshold(3)
-    if m2 is None or m3 is None:
-        raise AssertionError("a list colouring threshold exceeds its search limit")
-    if t < m2:
-        return 2
-    if t < m3:
-        return 3
-    return 4
+    return _three_vertex_number(a, b, list_colouring_threshold, "chi_l_exact")
 
 
-def chi_l_star_exact(a: int, b: int, limit: int = 12) -> int:
+def chi_l_star_exact(a: int, b: int) -> int:
     """Exact list packing number of K_{a,b}; supported for min(a,b) = 3.
 
     Fold 2 and fold 3 thresholds come from exact cover numbers over all
-    triple types; the value 4 additionally needs the fold-4 ceiling, checked
-    by exhibiting, for every 4-list triple type, an arrangement no list can
-    block.
+    triple types; the value 4 additionally needs the fold-4 ceiling: every
+    4-list triple type has an arrangement no list blocks.
     """
-    if a == 3:
-        t = b
-    elif b == 3:
-        t = a
-    else:
-        raise ResourceLimitError(f"chi_l_star_exact supports a 3-vertex side, got K_{{{a},{b}}}")
-    m2 = list_packing_threshold(2)
-    if m2 is None:
-        raise AssertionError("the fold-2 list packing threshold exceeds its search limit")
-    if t < m2:
-        return 2
-    m3 = list_packing_threshold(3, limit=min(limit, t))
-    if m3 is None or t < m3:
-        return 3
-    # a type with an arrangement no 4-list blocks is never unpackable,
-    # whatever the other side looks like
-    for triple in enumerate_triple_types(4, allow_repeats=True):
-        if all(_arrangement_blockable(rows) for rows in _arrangements(triple)):
-            raise AssertionError(f"fold-4 ceiling fails for type {triple}")
-    return 4
+    return _three_vertex_number(a, b, list_packing_threshold, "chi_l_star_exact")
 
 
 # ---------------------------------------------------------------------------

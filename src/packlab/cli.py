@@ -25,7 +25,7 @@ from .certificates import (
 )
 from .covers import CorrespondenceCover, ListAssignment
 from .errors import MalformedInputError, PackLabError
-from .reproduction import run_reproduction, write_report
+from .reproduction import run_reproduction
 
 
 def _workers(args) -> int:
@@ -231,7 +231,7 @@ def _cmd_reproduce(args) -> int:
     emit = None if args.format == "structured" else print
     report = run_reproduction(long=args.long, workers=_workers(args), emit=emit)
     if args.out:
-        write_report(report, args.out)
+        save_json(report.to_json_dict(), args.out)
     if args.format == "structured":
         print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if report.ok else 1

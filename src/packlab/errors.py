@@ -8,9 +8,10 @@ Every exhaustive scan states its worst-case step count up front, computed
 from its input alone, and passes it to ``check_work`` before any work
 starts.  The unit is one matrix entry or colour carried to one vertex for
 the deciders and the verifier, one cover or matrix for the scans that
-count those, one machine word for the mask builders, and one (candidate,
-list) pair for the list thresholds; WORK_LIMIT bounds them all, and no call
-can raise it.  Step counts charged in more than one place are defined once,
+count those, one machine word for the mask builders, one (candidate,
+list) pair for the list thresholds, and one permutation entry for
+``perms.all_permutations``; WORK_LIMIT bounds them all, and no call can
+raise it.  Step counts charged in more than one place are defined once,
 below ``check_work``.
 """
 
@@ -30,9 +31,15 @@ WORK_LIMIT = 20_000_000
 
 
 def check_work(steps: int, what: str) -> None:
-    """Refuse ``what`` with ResourceLimitError when it needs more than WORK_LIMIT steps."""
+    """Refuse ``what`` with ResourceLimitError when it needs more than WORK_LIMIT steps.
+
+    Counts past 64 bits are named by their power of two: Python refuses to
+    print integers of about 4300 digits and more, which k! reaches near
+    k = 1560.
+    """
     if steps > WORK_LIMIT:
-        raise ResourceLimitError(f"{what} needs {steps} steps, over the work limit {WORK_LIMIT}")
+        shown = steps if steps.bit_length() <= 64 else f"more than 2^{steps.bit_length() - 1}"
+        raise ResourceLimitError(f"{what} needs {shown} steps, over the work limit {WORK_LIMIT}")
 
 
 def packing_scan_steps(d: int, t: int, k: int) -> int:

@@ -10,14 +10,12 @@ invert, cycle type, parity) that everything else is built from.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Sequence
 
-from .errors import ResourceLimitError
+from .errors import check_work
 
 Perm = tuple[int, ...]
-
-#: largest k accepted by all_permutations (9! = 362880 elements)
-DEFAULT_ENUMERATION_LIMIT = 9
 
 
 def is_permutation(p: Sequence[int]) -> bool:
@@ -101,13 +99,11 @@ def all_permutations(k: int) -> Iterator[Perm]:
 
     The enumeration order is part of the contract: downstream tie-breaking
     (first witness, lexicographically smallest combination) depends on it.
+    The k! permutations of k entries each are charged to the work limit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > DEFAULT_ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"refusing to enumerate {k}! permutations (k={k} exceeds {DEFAULT_ENUMERATION_LIMIT})"
-        )
+    check_work(k * math.factorial(k), f"enumerating the permutations of {{1..{k}}}")
     return itertools.permutations(range(1, k + 1))
 
 

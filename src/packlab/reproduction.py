@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -384,8 +383,3 @@ def run_reproduction(
     if emit is not None:
         emit(f"{sum(1 for i in report.items if i.ok)}/{len(report.items)} items passed")
     return report
-
-
-def write_report(report: Report, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report.to_json_dict(), indent=2) + "\n")

@@ -9,9 +9,9 @@ import pytest
 import packlab
 from packlab.cases import (
     CASE_MATRICES,
-    _arrangement_blockable,
     _arrangements,
     _effective_lists,
+    _hall_cuts,
     a10_assignment,
     canonical_triple,
     check_case_matrix,
@@ -67,6 +67,37 @@ def test_canonical_triple_matches_brute_force(k, n):
     for _ in range(n):
         triple = [rng.sample(range(1, 2 * k + 3), k) for _ in range(3)]
         assert canonical_triple(triple) == brute_canonical_triple(triple), triple
+
+
+def plain_enumerate_triple_types(k, allow_repeats=False):
+    """Reference: extend the first list {1..k} by every choice of shared
+    colours plus fresh ones, twice, and dedupe by canonical form."""
+
+    def extensions(used):
+        top = max(used)
+        options = []
+        for j in range(k + 1):
+            for shared in itertools.combinations(sorted(used), j):
+                fresh = tuple(range(top + 1, top + 1 + (k - j)))
+                options.append(frozenset(shared + fresh))
+        return options
+
+    first = frozenset(range(1, k + 1))
+    types = set()
+    for second in extensions(first):
+        for third in extensions(first | second):
+            if allow_repeats or len({first, second, third}) == 3:
+                types.add(canonical_triple([first, second, third]))
+    return sorted(types)
+
+
+@pytest.mark.parametrize(
+    "k,allow_repeats",
+    [(k, rep) for k in (1, 2, 3, 4) for rep in (False, True)] + [(5, True)],
+)
+def test_venn_region_types_match_extension_generator(k, allow_repeats):
+    types = enumerate_triple_types(k, allow_repeats)
+    assert types == plain_enumerate_triple_types(k, allow_repeats)
 
 
 def test_twelve_types_of_distinct_triples():
@@ -194,14 +225,14 @@ def matching_blockable(rows, u_lists) -> bool:
 def test_structural_blockability_matches_matching_engine():
     for triple in enumerate_triple_types(3, allow_repeats=True):
         for rows in _arrangements(triple):
-            assert _arrangement_blockable(rows) == matching_blockable(rows, triple), rows
+            assert bool(_hall_cuts(rows)) == matching_blockable(rows, triple), rows
     rng = random.Random(4)
     types = enumerate_triple_types(4, allow_repeats=True)
     seen = set()
     for _ in range(60):
         triple = rng.choice(types)
         rows = rng.choice(_arrangements(triple))
-        blockable = _arrangement_blockable(rows)
+        blockable = bool(_hall_cuts(rows))
         assert blockable == matching_blockable(rows, triple), rows
         seen.add(blockable)
     assert seen == {True, False}
@@ -221,6 +252,12 @@ def test_packing_thresholds():
     assert list_packing_threshold(3) == 9
     assert list_colouring_threshold(2) == 3
     assert list_colouring_threshold(3) == 27
+
+
+def test_no_four_list_type_is_coverable():
+    # the fold-4 ceilings behind chi_l_star_exact and chi_l_exact
+    assert list_packing_threshold(4) is None
+    assert list_colouring_threshold(4) is None
 
 
 def test_colouring_masks_disjoint_type_blocks_one_each():
@@ -246,7 +283,6 @@ def test_chi_l_star_small_values():
     assert chi_l_star_exact(3, 5) == 3
 
 
-@pytest.mark.long
 def test_chi_l_star_threshold_at_nine():
     assert chi_l_star_exact(3, 8) == 3
     assert chi_l_star_exact(3, 9) == 4
@@ -291,22 +327,32 @@ def test_list_witness_check_survives_optimize_flag():
 
 
 def test_threshold_checks_survive_optimize_flag():
-    # python -O strips assert statements; the threshold checks must still run
-    script = (
-        "import sys\n"
-        "import packlab.cases as cases\n"
-        "if not sys.flags.optimize:\n"
-        "    sys.exit(4)\n"
-        "cases.list_colouring_threshold = lambda *args, **kwargs: None\n"
-        "try:\n"
-        "    cases.chi_l_exact(3, 5)\n"
-        "except AssertionError:\n"
-        "    sys.exit(3)\n"
-    )
+    # python -O strips assert statements; the threshold checks must still
+    # run, for a missing fold-3 colouring threshold and for a fold-4
+    # packing threshold (a broken fold-4 ceiling)
     src = os.path.dirname(os.path.dirname(packlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
-    assert proc.returncode == 3
+    for stub, call in [
+        ("cases.list_colouring_threshold = lambda k: None", "cases.chi_l_exact(3, 5)"),
+        (
+            "real = cases.list_packing_threshold\n"
+            "cases.list_packing_threshold = lambda k: 5 if k == 4 else real(k)",
+            "cases.chi_l_star_exact(3, 9)",
+        ),
+    ]:
+        script = (
+            "import sys\n"
+            "import packlab.cases as cases\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(4)\n"
+            f"{stub}\n"
+            "try:\n"
+            f"    {call}\n"
+            "except AssertionError:\n"
+            "    sys.exit(3)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+        assert proc.returncode == 3, stub
 
 
 def test_k39_proof_shape():

@@ -222,7 +222,6 @@ def test_chi_unsupported_size_is_resource_error(capsys):
     assert code == 2
 
 
-@pytest.mark.long
 def test_reproduce_cli(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "reproduce", "--out", str(report_path))
@@ -230,6 +229,10 @@ def test_reproduce_cli(tmp_path, capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
     report = json.loads(report_path.read_text())
     assert report["failed"] == 0
+    # the structured report written by --out is the one printed on stdout
+    code, out, _ = run(capsys, "reproduce", "--format", "structured", "--out", str(report_path))
+    assert code == 0
+    assert report_path.read_text() == out
 
 
 @pytest.mark.parametrize("kind,key", [

@@ -13,6 +13,7 @@ import pytest
 import packlab.blocking as blocking
 import packlab.cases as cases
 import packlab.counting as counting
+import packlab.perms as perms
 import packlab.search as search
 from packlab.certificates import make_certificate, verify_certificate
 from packlab.covers import make_assignment, standard_cover
@@ -30,6 +31,18 @@ def stub(monkeypatch, module, name):
     monkeypatch.setattr(module, name, reached)
 
 
+def record_charges(monkeypatch, module) -> list[int]:
+    """Route ``module.check_work`` through the real one, recording each charge."""
+    charged: list[int] = []
+
+    def recording_check(n, what):
+        charged.append(n)
+        check_work(n, what)
+
+    monkeypatch.setattr(module, "check_work", recording_check)
+    return charged
+
+
 def admitted(call) -> bool:
     try:
         call()
@@ -44,6 +57,14 @@ def test_check_work_boundary():
     check_work(WORK_LIMIT, "probe")
     with pytest.raises(ResourceLimitError, match="probe needs 20000001 steps"):
         check_work(WORK_LIMIT + 1, "probe")
+
+
+def test_check_work_names_huge_counts():
+    # 2000! has 5736 digits, more than Python converts to a string
+    with pytest.raises(ResourceLimitError, match=r"probe needs more than 2\^64 steps"):
+        check_work(1 << 64, "probe")
+    with pytest.raises(ResourceLimitError, match=r"needs more than 2\^\d+ steps"):
+        perms.all_permutations(2000)
 
 
 # (d, t, k) -> admitted; packing steps k * max(k!, (k!)^(d-1) * t * d),
@@ -193,15 +214,22 @@ def test_chi_c_star_refuses_k34():
 )
 def test_list_threshold_gate(monkeypatch, kind, k, steps, ok):
     # (candidate, effective list) pairs over all k-list triple types,
-    # charged before the first mask build
-    charged = []
-
-    def recording_check(n, what):
-        charged.append(n)
-        check_work(n, what)
-
-    monkeypatch.setattr(cases, "check_work", recording_check)
-    stub(monkeypatch, cases, f"{kind}_block_masks")
+    # charged before the targets of the first type and their cuts are built
+    charged = record_charges(monkeypatch, cases)
+    stub(monkeypatch, cases, f"_{kind}_cuts")
     threshold = getattr(cases, f"list_{kind}_threshold")
     assert admitted(lambda: threshold(k)) == ok
+    assert charged == [steps]
+
+
+@pytest.mark.parametrize(
+    "k,steps,ok",
+    [
+        (9, 3_265_920, True),  # 9! permutations of 9 entries
+        (10, 36_288_000, False),
+    ],
+)
+def test_all_permutations_gate(monkeypatch, k, steps, ok):
+    charged = record_charges(monkeypatch, perms)
+    assert admitted(lambda: perms.all_permutations(k)) == ok
     assert charged == [steps]
