@@ -12,8 +12,9 @@ from packlab import (
     check_case_matrix,
     chi_l_exact,
     decide_list_packing,
+    make_certificate,
     u_side_list_types,
-    verify_list_witness,
+    verify_certificate,
 )
 from packlab.cases import (
     CASE_MATRICES,
@@ -22,6 +23,7 @@ from packlab.cases import (
     k65_assignment,
     list_packing_threshold,
 )
+from packlab.certificates import witness_dict_for_lists
 
 print("the twelve types of pairwise-distinct 3-list triples:")
 for idx, triple in enumerate(u_side_list_types(), start=1):
@@ -37,10 +39,13 @@ print("  disjoint triples vs nine transversal lists:",
       "unpackable" if decide_list_packing(k39_assignment()) is None else "packable")
 print("  the sides-5-and-6 assignment:",
       "unpackable" if decide_list_packing(k65_assignment()) is None else "packable")
-w = decide_list_packing(a10_assignment())
+a10 = a10_assignment()
+w = decide_list_packing(a10)
+verified = w and verify_certificate(make_certificate(
+    "packing_witness", a10, witness_dict_for_lists(w.u_rows, w.v_rows), generator="demo"
+)).accepted
 print("  type-10 lists vs the eight transversals:",
-      "packable, witness verified" if w and verify_list_witness(a10_assignment(), w)
-      else "unexpected")
+      "packable, witness verified" if verified else "unexpected")
 
 print("\nexact thresholds from the cover analysis:")
 print("  least t with an unpackable 3-assignment:", list_packing_threshold(3))

@@ -35,13 +35,9 @@ from .counting import (
 from .covers import (
     CorrespondenceCover,
     ListAssignment,
-    PartialMatchingCover,
     canonicalize,
     k22_unpackable_cover,
-    list_to_correspondence,
-    list_to_partial_cover,
     make_assignment,
-    normalize,
     standard_cover,
 )
 from .errors import MalformedInputError, PackLabError, ResourceLimitError
@@ -77,5 +73,4 @@ from .search import (
     greedy_unpackable_cover,
     random_unpackable_cover_search,
     surjection_count,
-    verify_list_witness,
 )

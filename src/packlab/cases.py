@@ -301,6 +301,8 @@ def _three_vertex_number(a: int, b: int, threshold, name: str) -> int:
     threshold(3), else 4; the fold-4 ceiling is threshold(4) is None (no
     4-assignment on a 3-vertex side fails, whatever t).
     """
+    if a < 1 or b < 1:
+        raise ValueError("need a, b >= 1")
     if 3 not in (a, b):
         raise ResourceLimitError(f"{name} supports a 3-vertex side, got K_{{{a},{b}}}")
     t = b if a == 3 else a

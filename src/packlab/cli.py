@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--budget-candidates", type=int, default=5_000_000)
+    p.add_argument("--budget-candidates", type=int,
+                   default=search.SearchBudget.max_candidates)
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the wall-clock timestamp for byte-reproducible output")
     p.add_argument("--out", help="certificate output path")

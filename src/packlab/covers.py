@@ -6,12 +6,10 @@ v_j.  A k-fold packing is a choice of colour vectors (permutations of
 {1..k}) for every vertex such that, across each edge, the transported vector
 sigma[i][j] . c(u_i) and c(v_j) disagree in every position.
 
-List-assignments give each vertex an arbitrary k-set of colours; shared
-colours across an edge constrain exactly like matched cover positions do, so
-a list instance translates to a cover whose matchings pair shared colours
-and leave the rest unmatched.  Completing the partial matchings (normalize)
-adds constraints, so it preserves unpackability but can destroy packability;
-the exact translation keeps them partial.
+List-assignments give each vertex an arbitrary k-set of colours; a packing
+arranges every list so that across each edge no colour sits at the same
+position twice.  List instances are decided and verified on their own
+colours, never through a cover.
 """
 
 from __future__ import annotations
@@ -20,9 +18,6 @@ from dataclasses import dataclass
 
 from .errors import MalformedInputError
 from .perms import Perm, compose, identity, inverse, is_permutation, perm_from_str, perm_to_str
-
-#: a partial injection on {1..k}: image of position j at index j-1, None = unmatched
-PartialPerm = tuple[int | None, ...]
 
 
 @dataclass(frozen=True)
@@ -77,39 +72,6 @@ class CorrespondenceCover:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"malformed cover: {exc}") from exc
         return cover
-
-
-@dataclass(frozen=True)
-class PartialMatchingCover:
-    """Like CorrespondenceCover, but entries may be partial injections."""
-
-    k: int
-    sigma: tuple[tuple[PartialPerm, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or not self.sigma or not self.sigma[0]:
-            raise ValueError("need k >= 1, d >= 1 and t >= 1")
-        t = len(self.sigma[0])
-        for row in self.sigma:
-            if len(row) != t:
-                raise ValueError("ragged sigma array")
-            for entry in row:
-                if len(entry) != self.k:
-                    raise ValueError(f"entry of size {len(entry)}, expected {self.k}")
-                targets = [v for v in entry if v is not None]
-                if any(not 1 <= v <= self.k for v in targets) or len(set(targets)) != len(targets):
-                    raise ValueError(f"entry {entry!r} is not injective into {{1..{self.k}}}")
-
-    @property
-    def d(self) -> int:
-        return len(self.sigma)
-
-    @property
-    def t(self) -> int:
-        return len(self.sigma[0])
-
-    def column(self, j: int) -> tuple[PartialPerm, ...]:
-        return tuple(self.sigma[i][j] for i in range(self.d))
 
 
 @dataclass(frozen=True)
@@ -221,25 +183,6 @@ def k22_unpackable_cover() -> CorrespondenceCover:
 # ---------------------------------------------------------------------------
 
 
-def _complete_partial(entry: PartialPerm, k: int) -> Perm:
-    """Lexicographically smallest completion of a partial injection."""
-    used = {v for v in entry if v is not None}
-    free = iter(sorted(set(range(1, k + 1)) - used))
-    return tuple(v if v is not None else next(free) for v in entry)
-
-
-def normalize(cover: PartialMatchingCover) -> CorrespondenceCover:
-    """Extend every partial matching to a permutation (lex-smallest completion).
-
-    Added edges only add constraints: an unpackable instance stays
-    unpackable, but a packable one may not survive.
-    """
-    sigma = tuple(
-        tuple(_complete_partial(entry, cover.k) for entry in row) for row in cover.sigma
-    )
-    return CorrespondenceCover(k=cover.k, sigma=sigma)
-
-
 def canonicalize(cover: CorrespondenceCover) -> CorrespondenceCover:
     """Relabel lists so the first row and first column of sigma are identities.
 
@@ -255,45 +198,3 @@ def canonicalize(cover: CorrespondenceCover) -> CorrespondenceCover:
         for i in range(cover.d)
     )
     return CorrespondenceCover(k=cover.k, sigma=sigma)
-
-
-# ---------------------------------------------------------------------------
-# list -> correspondence translation
-# ---------------------------------------------------------------------------
-
-
-def list_to_partial_cover(
-    assignment: ListAssignment,
-) -> tuple[PartialMatchingCover, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Exact translation: shared colours matched, everything else unmatched.
-
-    Positions index each list in ascending colour order.  Returns the cover
-    together with the position -> colour maps for both sides (u_maps[i][p-1]
-    is the colour at position p of L(u_i)), so witnesses translate back.
-    """
-    k = assignment.k
-    u_maps = assignment.u_lists  # already sorted
-    v_maps = assignment.v_lists
-    v_index = [{c: p + 1 for p, c in enumerate(lst)} for lst in v_maps]
-    sigma = []
-    for i, ulist in enumerate(assignment.u_lists):
-        row = []
-        for j in range(assignment.b):
-            row.append(tuple(v_index[j].get(c) for c in ulist))
-        sigma.append(tuple(row))
-    cover = PartialMatchingCover(k=k, sigma=tuple(sigma))
-    return cover, u_maps, v_maps
-
-
-def list_to_correspondence(
-    assignment: ListAssignment,
-) -> tuple[CorrespondenceCover, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Translation with matchings completed to permutations.
-
-    Shared colours are matched to themselves; the remaining positions get
-    the lexicographically smallest completion.  Sound for certifying
-    unpackability (constraints were only added); the partial form from
-    list_to_partial_cover is the exact reduction.
-    """
-    partial, u_maps, v_maps = list_to_partial_cover(assignment)
-    return normalize(partial), u_maps, v_maps

@@ -74,16 +74,13 @@ def admissible_masks(rows: tuple[Perm, ...], k: int) -> list[int]:
 def transported_masks(rows, matchings, k: int) -> list[int]:
     """admissible_masks of the rows seen through per-row matchings.
 
-    Row i puts colour matchings[i][c-1] wherever it has c; a None entry
-    (a partial matching) constrains nothing.  With every entry set this
-    equals admissible_masks of the rows compose(matchings[i], rows[i]).
+    Row i puts colour matchings[i][c-1] wherever it has c, so this equals
+    admissible_masks of the rows compose(matchings[i], rows[i]).
     """
     adm = [(1 << k) - 1] * k
     for matching, row in zip(matchings, rows):
         for j in range(k):
-            target = matching[row[j] - 1]
-            if target is not None:
-                adm[j] &= ~(1 << (target - 1))
+            adm[j] &= ~(1 << (matching[row[j] - 1] - 1))
     return adm
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import __version__, cases, counting, latin, search
-from .certificates import make_certificate, verify_certificate
+from .certificates import make_certificate, verify_certificate, witness_dict_for_lists
 from .covers import k22_unpackable_cover
 from .packing import PackingMatrix, brute_force_extension, find_common_derangement
 from .perms import all_permutations, compose, sign
@@ -271,13 +271,16 @@ def c8() -> list[Item]:
 def c9() -> list[Item]:
     a10 = cases.a10_assignment()
     w10 = search.decide_list_packing(a10)
+    verified = w10 is not None and verify_certificate(make_certificate(
+        "packing_witness", a10, witness_dict_for_lists(w10.u_rows, w10.v_rows), generator="decide"
+    )).accepted
     return [
         _item("C9a", "nine transversal lists against disjoint triples: unpackable",
               search.decide_list_packing(cases.k39_assignment()) is None, True),
         _item("C9b", "sides 5 and 6 reference assignment: unpackable",
               search.decide_list_packing(cases.k65_assignment()) is None, True),
         _item("C9c", "type-10 lists against the eight transversals: packable",
-              w10 is not None and search.verify_list_witness(a10, w10), True),
+              verified, True),
     ]
 
 

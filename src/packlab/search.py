@@ -4,8 +4,9 @@ The structural shortcut used everywhere: the large side V of K_{d,t} is an
 independent set, so a full packing exists iff some choice of colour vectors
 on U extends independently at every v_j.  Relabeling the k colourings
 simultaneously permutes all colour vectors the same way, so the first U
-vector may be pinned to the identity; deciders therefore scan (k!)^(d-1)
-candidates and run one matching check per vertex of V.
+vector may be pinned (to the identity in a cover, to ascending order in a
+list instance); both packing deciders therefore scan (k!)^(d-1) candidates
+in one loop and run one matching check per vertex of V.
 
 Cover constructions and the exhaustive cover scans behind chi_c and chi_c*
 work in the same reduced space; they are thin callers of ``blocking``,
@@ -14,6 +15,7 @@ which builds the column masks and solves the set covers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,14 +29,9 @@ from .blocking import (
     hill_climb_cover,
     packing_masks,
 )
-from .covers import (
-    CorrespondenceCover,
-    ListAssignment,
-    PartialMatchingCover,
-    list_to_partial_cover,
-)
+from .covers import CorrespondenceCover, ListAssignment
 from .errors import canonical_cover_count, check_work, colouring_scan_steps, packing_scan_steps
-from .packing import has_perfect_matching, lex_smallest_system, transported_masks
+from .packing import has_perfect_matching, lex_smallest_system, list_masks, transported_masks
 from .perms import identity
 
 
@@ -42,9 +39,8 @@ from .perms import identity
 class PackingWitness:
     """Colour vectors forming a full packing.
 
-    In a correspondence instance the vectors are permutations of {1..k}
-    (positions); in a list instance they are arrangements of each vertex's
-    own colour list.
+    In a cover every row is a permutation of {1..k}; in a list instance
+    each row is an arrangement of its vertex's own colour list.
     """
 
     u_rows: tuple[tuple[int, ...], ...]
@@ -58,7 +54,7 @@ class SearchBudget:
     At least one limit must be set: a search with neither may never end.
     """
 
-    max_candidates: int | None = 2_000_000
+    max_candidates: int | None = 5_000_000
     max_seconds: float | None = None
     seed: int = 0
 
@@ -85,81 +81,66 @@ class SearchBudget:
 # ---------------------------------------------------------------------------
 
 
-def _decide_columns(columns, d: int, t: int, k: int) -> PackingWitness | None:
-    """Core decider; columns[j][i] maps u_i-colours to v_j-colours (None = free).
+def _first_packing(candidates, masks_at, columns):
+    """The first candidate U rows that extend at every vertex of V, or None.
 
-    Scans candidate U matrices with the first row pinned to the identity, in
-    lexicographic order of the remaining rows; at each vertex checks for a
-    perfect matching between positions and colours.  Returns the first full
-    witness (with lexicographically smallest extensions), or None.  Charged
-    ``packing_scan_steps`` up front.
+    masks_at(rows, column) builds the admissible masks at the vertex whose
+    matchings (or colour list) are ``column``.  Returns the rows and the
+    ``lex_smallest_system`` of the masks at each vertex.
     """
-    check_work(packing_scan_steps(d, t, k), "packing decision")
-    perms = list(itertools.permutations(range(1, k + 1)))
-    ident = identity(k)
-    for rest in itertools.product(perms, repeat=d - 1):
-        rows = (ident,) + rest
+    for rows in candidates:
         all_adm: list[list[int]] = []
-        for j in range(t):
-            adm = transported_masks(rows, columns[j], k)
+        for column in columns:
+            adm = masks_at(rows, column)
             if not has_perfect_matching(adm):
                 break
             all_adm.append(adm)
         else:
-            v_rows = tuple(lex_smallest_system(adm) for adm in all_adm)
-            return PackingWitness(u_rows=rows, v_rows=v_rows)
+            return rows, [lex_smallest_system(adm) for adm in all_adm]
     return None
 
 
-def decide_correspondence_packing(
-    cover: CorrespondenceCover | PartialMatchingCover,
-) -> PackingWitness | None:
+def decide_correspondence_packing(cover: CorrespondenceCover) -> PackingWitness | None:
     """Full packing of a k-fold cover, or None when none exists.
 
-    Exhaustive over the reduced candidate space; a ResourceLimitError (the
-    instance was too big to decide) is distinct from the None verdict.
+    Scans the U matrices with the first row pinned to the identity, in
+    lexicographic order of the remaining rows.  Exhaustive over the reduced
+    candidate space and charged ``packing_scan_steps`` up front; a
+    ResourceLimitError (the instance was too big to decide) is distinct
+    from the None verdict.
     """
-    columns = [cover.column(j) for j in range(cover.t)]
-    return _decide_columns(columns, cover.d, cover.t, cover.k)
+    d, t, k = cover.d, cover.t, cover.k
+    check_work(packing_scan_steps(d, t, k), "packing decision")
+    perms = list(itertools.permutations(range(1, k + 1)))
+    candidates = ((identity(k),) + rest for rest in itertools.product(perms, repeat=d - 1))
+    columns = [cover.column(j) for j in range(t)]
+    found = _first_packing(candidates, functools.partial(transported_masks, k=k), columns)
+    if found is None:
+        return None
+    u_rows, v_rows = found
+    return PackingWitness(u_rows=u_rows, v_rows=tuple(v_rows))
 
 
 def decide_list_packing(assignment: ListAssignment) -> PackingWitness | None:
-    """List packing decided through the exact partial-matching translation.
+    """Full packing of a list-assignment, or None when none exists.
 
-    The witness is reported in the original colours, with row i of the U
-    side an arrangement of L(u_i).
+    Scans the arrangements of the U lists, the first one pinned in
+    ascending order, the rest in ``itertools.permutations`` order; charged
+    like the cover decider.  Row i of each side of the witness is an
+    arrangement of that vertex's own list.
     """
-    partial, u_maps, v_maps = list_to_partial_cover(assignment)
-    witness = decide_correspondence_packing(partial)
-    if witness is None:
+    check_work(packing_scan_steps(assignment.a, assignment.b, assignment.k), "packing decision")
+    first, *rest = assignment.u_lists
+    arrangements = itertools.product(*(itertools.permutations(lst) for lst in rest))
+    candidates = ((first,) + arranged for arranged in arrangements)
+    found = _first_packing(candidates, list_masks, assignment.v_lists)
+    if found is None:
         return None
-    u_rows = tuple(
-        tuple(u_maps[i][p - 1] for p in row) for i, row in enumerate(witness.u_rows)
-    )
+    u_rows, positions = found
     v_rows = tuple(
-        tuple(v_maps[j][p - 1] for p in row) for j, row in enumerate(witness.v_rows)
+        tuple(lst[p - 1] for p in row) for lst, row in zip(assignment.v_lists, positions)
     )
-    translated = PackingWitness(u_rows=u_rows, v_rows=v_rows)
-    if not verify_list_witness(assignment, translated):
-        raise AssertionError("translated list witness fails the colourwise check")
-    return translated
-
-
-def verify_list_witness(assignment: ListAssignment, witness: PackingWitness) -> bool:
-    """Colourwise check of a packing of a list-assignment."""
-    if len(witness.u_rows) != assignment.a or len(witness.v_rows) != assignment.b:
-        return False
-    for row, lst in zip(witness.u_rows, assignment.u_lists):
-        if tuple(sorted(row)) != lst:
-            return False
-    for row, lst in zip(witness.v_rows, assignment.v_lists):
-        if tuple(sorted(row)) != lst:
-            return False
-    for u_row in witness.u_rows:
-        for v_row in witness.v_rows:
-            if any(a == b for a, b in zip(u_row, v_row)):
-                return False
-    return True
+    return PackingWitness(u_rows=u_rows, v_rows=v_rows)
 
 
 # ---------------------------------------------------------------------------

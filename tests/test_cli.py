@@ -217,6 +217,14 @@ def test_chi_subcommand(capsys):
     assert code == 0 and out.strip() == "3"
 
 
+@pytest.mark.parametrize("param", ["c", "cstar", "l", "lstar"])
+@pytest.mark.parametrize("a,b", [("3", "0"), ("3", "-4"), ("0", "3")])
+def test_chi_sides_below_one_are_input_errors(capsys, param, a, b):
+    code, out, err = run(capsys, "chi", "--param", param, "--a", a, "--b", b)
+    assert code == 2 and out == ""
+    assert "need a, b >= 1" in err
+
+
 def test_chi_unsupported_size_is_resource_error(capsys):
     code, _, err = run(capsys, "chi", "--param", "l", "--a", "5", "--b", "5")
     assert code == 2

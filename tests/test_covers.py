@@ -6,13 +6,9 @@ import pytest
 from packlab.covers import (
     CorrespondenceCover,
     ListAssignment,
-    PartialMatchingCover,
     canonicalize,
     k22_unpackable_cover,
-    list_to_correspondence,
-    list_to_partial_cover,
     make_assignment,
-    normalize,
     standard_cover,
 )
 from packlab.errors import MalformedInputError
@@ -58,13 +54,28 @@ def list_packing_oracle(assignment):
     return False
 
 
+def completed_cover(assignment):
+    """A cover whose matchings pair the shared colours of each edge's lists
+    (positions in ascending colour order), completed lex-smallest.
+
+    Completing adds constraints, so a packing of this cover is a list
+    packing but not every list packing survives.
+    """
+    sigma = []
+    for u_list in assignment.u_lists:
+        row = []
+        for v_list in assignment.v_lists:
+            shared = {c: v_list.index(c) + 1 for c in u_list if c in v_list}
+            free = iter(p for p in range(1, assignment.k + 1) if p not in shared.values())
+            row.append(tuple(shared[c] if c in shared else next(free) for c in u_list))
+        sigma.append(tuple(row))
+    return CorrespondenceCover(k=assignment.k, sigma=tuple(sigma))
+
+
 def test_standard_cover():
     cover = standard_cover(2, 2, 3)
     assert cover.d == cover.t == 2 and cover.k == 3
     assert all(p == identity(3) for row in cover.sigma for p in row)
-    assert normalize(
-        PartialMatchingCover(k=3, sigma=tuple(tuple(p for p in row) for row in cover.sigma))
-    ) == cover
 
 
 def test_k22_cover_shape():
@@ -72,37 +83,6 @@ def test_k22_cover_shape():
     ident = identity(3)
     assert cover.sigma[0][0] == cover.sigma[1][0] == cover.sigma[0][1] == ident
     assert cover.sigma[1][1] == (1, 3, 2)
-
-
-def test_normalize_empty_matchings_to_identity():
-    empty = (None, None, None)
-    partial = PartialMatchingCover(k=3, sigma=((empty, empty), (empty, empty)))
-    assert normalize(partial) == standard_cover(2, 2, 3)
-
-
-def test_normalize_lex_smallest_completion():
-    # position 2 already matched to 1: the completion fills 1 -> 2, 3 -> 3
-    partial = PartialMatchingCover(k=3, sigma=(((None, 1, None),),))
-    assert normalize(partial).sigma[0][0] == (2, 1, 3)
-
-
-def test_normalize_rejects_non_injective():
-    with pytest.raises(ValueError):
-        PartialMatchingCover(k=3, sigma=(((1, 1, None),),))
-
-
-def test_normalize_preserves_unpackability():
-    # adding matching edges adds constraints, so packable may only shrink
-    rng = random.Random(5)
-    for _ in range(40):
-        a, b, k = rng.randint(1, 2), rng.randint(1, 2), 3
-        assignment = random_assignment(rng, a, b, k, range(1, 6))
-        partial, _, _ = list_to_partial_cover(assignment)
-        completed = normalize(partial)
-        before = decide_correspondence_packing(partial) is not None
-        after = decide_correspondence_packing(completed) is not None
-        if not before:
-            assert not after
 
 
 def test_canonicalize_pins_first_row_and_column():
@@ -131,19 +111,13 @@ def test_k22_cover_is_already_canonical():
 
 
 def test_list_translation_identical_lists_gives_standard_cover():
+    # lists {1..k} everywhere are the standard cover, and the two deciders
+    # agree on it row for row
     assignment = make_assignment([[1, 2, 3]] * 2, [[1, 2, 3]] * 2)
-    cover, u_maps, v_maps = list_to_correspondence(assignment)
-    assert cover == standard_cover(2, 2, 3)
-    assert u_maps == ((1, 2, 3), (1, 2, 3))
-
-
-def test_list_translation_shared_colours_match_themselves():
-    assignment = make_assignment([[1, 2, 3]], [[1, 3, 5]])
-    partial, _, _ = list_to_partial_cover(assignment)
-    # colour 1 -> position 1, colour 3 -> position 2, colour 2 unmatched
-    assert partial.sigma[0][0] == (1, None, 2)
-    cover, _, _ = list_to_correspondence(assignment)
-    assert cover.sigma[0][0] == (1, 3, 2)
+    assert completed_cover(assignment) == standard_cover(2, 2, 3)
+    assert decide_list_packing(assignment) == decide_correspondence_packing(
+        standard_cover(2, 2, 3)
+    )
 
 
 def test_disjoint_lists_always_packable():
@@ -163,26 +137,19 @@ def test_exact_translation_agrees_with_colour_space_oracle():
 
 def test_completed_translation_is_sound_but_lossy():
     """Completing the matchings may flip a packable instance (it adds
-    constraints), so the completed decision only implies the exact one in a
-    single direction."""
+    constraints), so the completed decision only implies the list decision
+    in a single direction."""
     rng = random.Random(9)
-    lossy_seen = False
     for _ in range(150):
         a, b = rng.randint(1, 2), rng.randint(1, 3)
         assignment = random_assignment(rng, a, b, 3, range(1, 7))
-        exact = decide_list_packing(assignment) is not None
-        completed, _, _ = list_to_correspondence(assignment)
-        comp = decide_correspondence_packing(completed) is not None
-        if comp:
-            assert exact  # a packing of the completed cover is a list packing
-        if exact and not comp:
-            lossy_seen = True
-    # the concrete witness: U lists {1,2,3},{1,2,4}; V lists {5,6,7},{1,3,4}
+        if decide_correspondence_packing(completed_cover(assignment)) is not None:
+            assert decide_list_packing(assignment) is not None
+    # U lists {1,2,3},{1,2,4}; V lists {5,6,7},{1,3,4}: list-packable, the
+    # completed cover is not
     asg = make_assignment([[1, 2, 3], [1, 2, 4]], [[5, 6, 7], [1, 3, 4]])
-    completed, _, _ = list_to_correspondence(asg)
     assert decide_list_packing(asg) is not None
-    assert decide_correspondence_packing(completed) is None
-    assert lossy_seen or True  # the fixed example above is the real assertion
+    assert decide_correspondence_packing(completed_cover(asg)) is None
 
 
 def test_cover_json_round_trip():

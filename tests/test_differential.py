@@ -5,11 +5,17 @@ the decider's, the independent verifier's on the certificate that verdict
 implies (and its rejection of the opposite claim), and a plain scan of
 every U matrix, first row included, that asks ``brute_force_extension``
 (covers) or a colour-space scan (lists) at each vertex.
+
+The list decider's witnesses are pinned too: the a10 rows, and one digest
+over the witnesses of a seeded batch of random assignments.
 """
 
+import hashlib
 import itertools
+import json
 import random
 
+from packlab.cases import a10_assignment
 from packlab.certificates import (
     make_certificate,
     verify_certificate,
@@ -82,3 +88,26 @@ def test_lists_decider_verifier_and_plain_scan_agree():
         assert claim_ok and no_packing_ok == (not packable), assignment
         verdicts.add((k >= 2, packable))
     assert {(True, True), (True, False)} <= verdicts
+
+
+def test_a10_list_witness_pinned():
+    witness = decide_list_packing(a10_assignment())
+    assert witness.u_rows == ((1, 2, 3), (4, 1, 5), (6, 7, 1))
+    assert witness.v_rows == (
+        (2, 4, 6), (2, 4, 7), (2, 5, 6), (2, 5, 7),
+        (3, 4, 6), (3, 4, 7), (3, 5, 6), (3, 5, 7),
+    )
+
+
+def test_list_witnesses_pinned():
+    rng = random.Random(0x11575)
+    dicts = []
+    for _ in range(500):
+        a, b, k = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 4)
+        witness = decide_list_packing(random_assignment(rng, a, b, k, range(1, k + 3)))
+        dicts.append(
+            None if witness is None else witness_dict_for_lists(witness.u_rows, witness.v_rows)
+        )
+    assert sum(w is not None for w in dicts) == 381
+    digest = hashlib.sha256(json.dumps(dicts).encode()).hexdigest()
+    assert digest == "37489501ef4039aa7aa533956df67afa4540649ec7d688c939ea5360ffec118f"
