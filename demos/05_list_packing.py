@@ -11,6 +11,7 @@ list packing number of K_{3,t} at 3 for t <= 8 and 4 from t = 9 on.
 from packlab import (
     check_case_matrix,
     chi_l_exact,
+    chi_l_star_exact,
     decide_list_packing,
     make_certificate,
     u_side_list_types,
@@ -51,5 +52,4 @@ print("\nexact thresholds from the cover analysis:")
 print("  least t with an unpackable 3-assignment:", list_packing_threshold(3))
 print("  chi_l of K_{3,t} for t = 2, 3, 26, 27:",
       [chi_l_exact(3, t) for t in (2, 3, 26, 27)])
-print("  (the packing analogue needs --run-long in the tests, or")
-print("   `packlab chi --param lstar --a 3 --b 9`)")
+print("  chi_l* of K_{3,t} for t = 8, 9:", [chi_l_star_exact(3, t) for t in (8, 9)])

@@ -68,7 +68,6 @@ from .search import (
     decide_correspondence_colouring,
     decide_correspondence_packing,
     decide_list_packing,
-    every_cover_colourable_by_counting,
     find_uncolourable_cover,
     greedy_unpackable_cover,
     random_unpackable_cover_search,

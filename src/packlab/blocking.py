@@ -179,6 +179,8 @@ def hill_climb_cover(
     """
     if n_picks < 1:
         raise ValueError("need n_picks >= 1")  # no scan would ever check a limit
+    if n_picks * max(m.bit_count() for m in masks) < n_targets:
+        return None  # even the fattest picks leave a target uncovered
     full = (1 << n_targets) - 1
     nc = len(masks)
     rng = random.Random(seed)

@@ -107,7 +107,7 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedInputError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 
@@ -127,7 +127,7 @@ def load_instance(path: str) -> CorrespondenceCover | ListAssignment:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
     return parse_instance(data)
 

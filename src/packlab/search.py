@@ -9,8 +9,8 @@ list instance); both packing deciders therefore scan (k!)^(d-1) candidates
 in one loop and run one matching check per vertex of V.
 
 Cover constructions and the exhaustive cover scans behind chi_c and chi_c*
-work in the same reduced space; they are thin callers of ``blocking``,
-which builds the column masks and solves the set covers.
+work in the same reduced space; the scans try the union bound first, then
+call ``blocking``, which builds the column masks and solves the set covers.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .blocking import (
     hill_climb_cover,
     packing_masks,
 )
+from .counting import forbidden_count_brute
 from .covers import CorrespondenceCover, ListAssignment
 from .errors import canonical_cover_count, check_work, colouring_scan_steps, packing_scan_steps
 from .packing import has_perfect_matching, lex_smallest_system, list_masks, transported_masks
@@ -223,84 +224,71 @@ def random_unpackable_cover_search(
 # exact chromatic computations on tiny instances
 # ---------------------------------------------------------------------------
 
-def find_uncolourable_cover(d: int, t: int, k: int) -> CorrespondenceCover | None:
-    """Lexicographically first canonical k-fold cover of K_{d,t} with no
-    proper colouring, or None when every cover is colourable.
-
-    Canonical covers have identity matchings in the first row and first
-    column, and colourability is invariant under permuting the V vertices,
-    so the scan runs over multisets of column types for the t-1 free columns.
-    This is exhaustive up to relabeling: every cover is equivalent to a
-    scanned one.
-    """
-    if d < 2 or t < 1:
-        raise ValueError("need d >= 2 and t >= 1")
-    check_work(canonical_cover_count(d, t, k), "uncolourable cover scan")
-    masks = colouring_masks(d, k)
-    # column 0 (all identities) is pinned at the first vertex
-    rest = first_multiset_cover(masks, k**d, t - 1, masks[0])
-    return None if rest is None else cover_from_columns(column_space(d, k), (0,) + rest)
-
 
 def surjection_count(d: int, k: int) -> int:
     """Number of surjections from a d-set onto a k-set (inclusion-exclusion)."""
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** d for j in range(k + 1))
 
 
-def every_cover_colourable_by_counting(d: int, t: int, k: int) -> bool:
-    """Union bound: is every k-fold cover of K_{d,t} necessarily colourable?
+def _colourings_blocked(d: int, k: int) -> tuple[int, int]:
+    """(B, N): a column blocks the B surjective colourings of the N = k^d on U."""
+    return surjection_count(d, k), k**d
 
-    A vertex of the t side is blocked under a colouring of the d side iff
-    its d transported neighbour colours exhaust {1..k}; per-coordinate
-    colour transport is bijective, so each vertex blocks exactly the
-    surjection count of the k^d colourings.  If t vertices cannot block
-    them all (strict inequality), a colouring always survives; the same
-    holds with the roles of the sides swapped.
+
+def _matrices_blocked(d: int, k: int) -> tuple[int, int]:
+    """(B, N): a column blocks B of the N = (k!)^(d-1) matrices with the first row pinned."""
+    kf = math.factorial(k)
+    return forbidden_count_brute(d, k) // kf, kf ** (d - 1)
+
+
+def _blocking_cover(d: int, t: int, k: int, blocked, masks_of) -> CorrespondenceCover | None:
+    """Lexicographically first canonical k-fold cover of K_{d,t} whose
+    columns jointly block every candidate, or None.
+
+    Each column blocks B of the N candidates, (B, N) = ``blocked(d, k)``;
+    when t·B < N no t columns block them all (the union bound), and nothing
+    is charged or built.  Otherwise the all-identity column 0 is pinned at
+    the first vertex and the t - 1 free columns run over multisets of
+    ``masks_of(d, k)``: the verdict does not depend on the order of V.
     """
-    return (
-        t * surjection_count(d, k) < k**d or d * surjection_count(t, k) < k**t
-    )
+    per_column, n_targets = blocked(d, k)
+    if t * per_column < n_targets:
+        return None
+    check_work(canonical_cover_count(d, t, k), f"fold-{k} cover scan")
+    masks = masks_of(d, k)
+    rest = first_multiset_cover(masks, n_targets, t - 1, masks[0])
+    return None if rest is None else cover_from_columns(column_space(d, k), (0,) + rest)
+
+
+def find_uncolourable_cover(d: int, t: int, k: int) -> CorrespondenceCover | None:
+    """Lexicographically first canonical k-fold cover of K_{d,t} with no
+    proper colouring, or None when every cover is colourable (exhaustive up
+    to relabeling: every cover is equivalent to a scanned one)."""
+    if d < 2 or t < 1 or k < 1:
+        raise ValueError("need d >= 2, t >= 1 and k >= 1")
+    return _blocking_cover(d, t, k, _colourings_blocked, colouring_masks)
+
+
+def _least_open_fold(a: int, b: int, blocked, masks_of) -> int:
+    """The least k >= 2 with no blocking k-fold cover of K_{a,b}, U the smaller side."""
+    if a < 1 or b < 1:
+        raise ValueError("need a, b >= 1")
+    if min(a, b) == 1:
+        return 2  # trees: every 2-fold cover colours and packs, a 1-fold cover never does
+    d, t = sorted((a, b))
+    folds = itertools.count(2)
+    return next(k for k in folds if _blocking_cover(d, t, k, blocked, masks_of) is None)
 
 
 def chi_c_exact(a: int, b: int) -> int:
-    """Exact correspondence chromatic number of K_{a,b} for tiny instances.
-
-    For k = 2, 3, ...: the counting ceiling settles the fold sizes where no
-    cover can block every colouring; the remaining fold sizes are scanned
-    exhaustively over canonical covers.  The least k with no uncolourable
-    cover is the answer.  Termination: once k exceeds min(a,b) no vertex
-    can be blocked at all (a surjection onto more than min(a,b) colours
-    would be needed), so the ceiling always fires by then.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("need a, b >= 1")
-    if min(a, b) == 1:
-        return 2  # trees: two colours always suffice, one never does
-    d, t = (a, b) if a <= b else (b, a)
-    for k in itertools.count(2):
-        if every_cover_colourable_by_counting(d, t, k):
-            return k
-        if find_uncolourable_cover(d, t, k) is None:
-            return k
+    """Exact correspondence chromatic number of K_{a,b} for tiny instances:
+    the least k with no uncolourable k-fold cover.  Once k > min(a, b) no
+    column blocks a colouring (none maps onto k colours), so the union
+    bound ends the loop."""
+    return _least_open_fold(a, b, _colourings_blocked, colouring_masks)
 
 
 def chi_c_star_exact(a: int, b: int) -> int:
-    """Exact correspondence packing number of K_{a,b} for tiny instances.
-
-    For k = 2, 3, ...: the canonical covers of K_{d,t}, d <= t, are scanned
-    like ``find_uncolourable_cover`` scans them, as multisets of columns
-    after the pinned all-identity column; a cover is unpackable iff its
-    columns' packing masks jointly block every candidate.  The least k with
-    no such multiset is the answer.  Each fold is refused before its masks
-    are built when its multiset count exceeds the work limit.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("need a, b >= 1")
-    if min(a, b) == 1:
-        return 2  # trees: every 2-fold cover packs, a 1-fold cover never does
-    d, t = (a, b) if a <= b else (b, a)
-    for k in itertools.count(2):
-        check_work(canonical_cover_count(d, t, k), f"fold-{k} cover scan")
-        masks = packing_masks(d, k)
-        if first_multiset_cover(masks, len(masks), t - 1, masks[0]) is None:
-            return k
+    """Exact correspondence packing number of K_{a,b} for tiny instances:
+    the least k with no unpackable k-fold cover."""
+    return _least_open_fold(a, b, _matrices_blocked, packing_masks)

@@ -1,8 +1,10 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import packlab.blocking as blocking
 from packlab.blocking import (
     colouring_masks,
     column_space,
@@ -219,3 +221,18 @@ def test_hill_climb_cover_finds_a_cover_or_exhausts_its_budget():
     assert hill_climb_cover(masks, 4, 1, seed=0, max_evals=1_000, max_seconds=None) is None
     with pytest.raises(ValueError):
         hill_climb_cover(masks, 4, 0, seed=0, max_evals=None, max_seconds=1.0)
+
+
+def test_hill_climb_cover_scans_nothing_when_no_cover_exists(monkeypatch):
+    # n_picks masks of the largest popcount are too few for the targets, so
+    # no replacement scan runs and the deadline is never read
+    reads = []
+    monkeypatch.setattr(blocking, "time", SimpleNamespace(monotonic=lambda: reads.append(1) or 0.0))
+    masks = packing_masks(3, 4)  # 80 of 576 candidates per column
+    assert hill_climb_cover(masks, len(masks), 7, 0, None, 1e9) is None
+    assert hill_climb_cover([0b0011, 0b0110], 5, 2, 0, None, 1e9) is None
+    assert reads == []
+    assert hill_climb_cover([0b0011, 0b1100], 4, 2, 0, None, 1e9) is not None
+    assert reads
+    with pytest.raises(ValueError):
+        hill_climb_cover([], 1, 1, 0, None, 1e9)

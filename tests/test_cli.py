@@ -114,6 +114,16 @@ def test_verify_malformed_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["verify"], ["decide", "--cover"]], ids=["verify", "decide"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command):
+    # the JSON decoder runs out of stack, which is malformed input, not a refutation
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert "invalid JSON" in err and "Traceback" not in err
+
+
 def test_decide_non_string_permutation_is_input_error(tmp_path, capsys):
     path = tmp_path / "cover.json"
     path.write_text(json.dumps(

@@ -4,9 +4,16 @@ import random
 
 import pytest
 
-from packlab.blocking import column_space, cover_from_columns, first_multiset_cover, packing_masks
+import packlab.search as search
+from packlab.blocking import (
+    colouring_masks,
+    column_space,
+    cover_from_columns,
+    first_multiset_cover,
+    packing_masks,
+)
 from packlab.covers import canonicalize, k22_unpackable_cover, standard_cover
-from packlab.errors import ResourceLimitError
+from packlab.errors import ResourceLimitError, canonical_cover_count
 from packlab.certificates import make_certificate, verify_certificate, witness_dict_for_cover
 from packlab.perms import identity, is_derangement_of, perm_to_str
 from packlab.search import (
@@ -165,12 +172,17 @@ def test_uncolourable_cover_pinned(d, t, k, rows):
 
 
 def test_uncolourable_cover_work_cap_checked_before_building(monkeypatch):
-    # (5!)^3 column types, C(1728001, 2) multisets: refused before any mask is built
-    import packlab.search as search
-
+    # the union bound leaves (4, 5, 3) open (5 * 36 >= 81), and its 6^3
+    # column types give C(219, 4) multisets: refused before any mask is built
     monkeypatch.setattr(search, "colouring_masks", lambda d, k: pytest.fail("masks built"))
-    with pytest.raises(ResourceLimitError):
-        search.find_uncolourable_cover(4, 3, 5)
+    with pytest.raises(ResourceLimitError, match="fold-3 cover scan needs 93240126 steps"):
+        search.find_uncolourable_cover(4, 5, 3)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_uncolourable_cover_needs_a_fold(k):
+    with pytest.raises(ValueError, match="k >= 1"):
+        find_uncolourable_cover(3, 3, k)
 
 
 def test_chi_c_exact_values():
@@ -182,15 +194,13 @@ def test_chi_c_exact_values():
 
 def test_chi_c_k44_counterexample():
     """K_{4,4} has an uncolourable 3-fold cover, so its correspondence
-    chromatic number is 4 (the counting ceiling 4 * 24 < 256 settles fold 4).
+    chromatic number is 4 (the union bound 4 * 24 < 256 settles fold 4).
 
     The lexicographically first such cover is hand-checkable: three vertices
     see u_4 through the three rotations, so u_1..u_3 must share one colour a
     and u_4 is free, but then the last vertex sees the full rotation orbit
     {a, ra, r^2 a} = {1,2,3} and cannot be coloured.
     """
-    from packlab.search import every_cover_colourable_by_counting
-
     bad = find_uncolourable_cover(4, 4, 3)
     assert bad is not None
     assert decide_correspondence_colouring(bad) is None
@@ -206,7 +216,7 @@ def test_chi_c_k44_counterexample():
         )
     ]
     assert survivors == []
-    assert every_cover_colourable_by_counting(4, 4, 4)
+    assert find_uncolourable_cover(4, 4, 4) is None
     assert chi_c_exact(4, 4) == 4
 
 
@@ -223,6 +233,48 @@ def test_chi_c_star_star_graphs():
 @pytest.mark.parametrize("a,b", [(2, 3), (3, 2), (2, 4), (2, 5), (2, 6), (3, 3)])
 def test_chi_c_star_small_values(a, b):
     assert chi_c_star_exact(a, b) == 4
+
+
+@pytest.mark.parametrize("a,b", [(3, 4), (3, 5), (3, 6), (3, 7), (7, 3), (2, 10), (2, 40)])
+def test_chi_c_star_settled_by_the_union_bound(a, b):
+    # fold 4 is settled without a scan: for d = 3 each column blocks 80 of
+    # the 576 candidate matrices (7 * 80 < 576), for d = 2 it blocks none
+    assert chi_c_star_exact(a, b) == 4
+
+
+def test_k34_fold_three_unpackable_cover_verifies():
+    cover = search._blocking_cover(3, 4, 3, search._matrices_blocked, packing_masks)
+    assert cover is not None and (cover.d, cover.t, cover.k) == (3, 4, 3)
+    assert decide_correspondence_packing(cover) is None
+    assert verify_certificate(make_certificate("no_k_packing", cover, None, generator="test"))
+
+
+def test_union_bound_fires_only_where_the_scan_finds_nothing():
+    # every shape with t * B < N whose plain multiset scan is cheap: at most
+    # 10^6 multisets over masks built in well under a second
+    packing_shapes = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
+    colouring_shapes = [(d, k) for d in (2, 3, 4) for k in (2, 3, 4, 5) if (d, k) != (4, 5)]
+    settled = []
+    for blocked, masks_of, shapes in [
+        (search._matrices_blocked, packing_masks, packing_shapes),
+        (search._colourings_blocked, colouring_masks, colouring_shapes),
+    ]:
+        for d, k in shapes:
+            per_column, n_targets = blocked(d, k)
+            folds = [
+                t for t in range(2, 12)
+                if t * per_column < n_targets and canonical_cover_count(d, t, k) <= 10**6
+            ]
+            if not folds:
+                continue
+            masks = masks_of(d, k)
+            # every column blocks exactly B candidates
+            assert {m.bit_count() for m in masks} == {per_column}
+            for t in folds:
+                assert first_multiset_cover(masks, n_targets, t - 1, masks[0]) is None
+                settled.append((masks_of, per_column))
+    assert {masks_of for masks_of, _ in settled} == {packing_masks, colouring_masks}
+    assert any(per_column > 0 for _, per_column in settled)
 
 
 def first_unpackable_product_cover(d, t, k):
@@ -383,8 +435,9 @@ def test_random_search_seed_11_certificate_pinned():
 
 
 def test_random_search_respects_time_budget():
+    # 20 * 80 >= 576: the union bound leaves the hunt open, so the deadline ends it
     budget = SearchBudget(max_candidates=None, max_seconds=0.0, seed=5)
-    assert random_unpackable_cover_search(3, 4, 1, budget) is None
+    assert random_unpackable_cover_search(3, 4, 20, budget) is None
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ raise ResourceLimitError without reaching it.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -186,21 +187,39 @@ def test_forbidden_count_gate(monkeypatch, d, k, reduce, ok):
     ],
 )
 def test_chi_c_star_fold_gate(monkeypatch, a, b, fold, ok):
-    # folds below `fold` get one mask blocking their single candidate, so
-    # some cover is unpackable and the scan moves on to `fold`, whose mask
-    # build raises Reached if the multiset count is admitted
+    # the union bound is held open (every column blocks every candidate);
+    # folds below `fold` get one mask blocking all candidates, so some cover
+    # is unpackable and the scan moves on to `fold`, whose mask build raises
+    # Reached if the multiset count is admitted
+    monkeypatch.setattr(search, "forbidden_count_brute", lambda d, k: math.factorial(k) ** d)
+
     def masks(d, k):
         if k < fold:
-            return [1]
+            return [(1 << math.factorial(k) ** (d - 1)) - 1]
         raise Reached
 
     monkeypatch.setattr(search, "packing_masks", masks)
     assert admitted(lambda: search.chi_c_star_exact(a, b)) == ok
 
 
-def test_chi_c_star_refuses_k34():
-    with pytest.raises(ResourceLimitError, match="fold-4 cover scan needs 32016576 steps"):
-        search.chi_c_star_exact(3, 4)
+def test_chi_c_star_refused_where_the_union_bound_leaves_a_fold_open(monkeypatch):
+    # (3, 7) is admitted: fold 4 is settled by 7 * 80 < 576; at (3, 8) the
+    # bound leaves fold 3 open and its C(42, 7) multisets are refused
+    assert search.chi_c_star_exact(3, 7) == 4
+    with pytest.raises(ResourceLimitError, match="fold-3 cover scan needs 26978328 steps"):
+        search.chi_c_star_exact(3, 8)
+    # (4, 4) reaches fold 4 (8 136 of 13 824 blocked per column) and is
+    # refused at C(13826, 3) multisets before its masks are built
+    real = search.packing_masks
+
+    def masks(d, k):
+        if k >= 4:
+            pytest.fail("fold-4 masks built")
+        return real(d, k)
+
+    monkeypatch.setattr(search, "packing_masks", masks)
+    with pytest.raises(ResourceLimitError, match="fold-4 cover scan needs 440396812800 steps"):
+        search.chi_c_star_exact(4, 4)
 
 
 @pytest.mark.parametrize(
