@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceLimitError, check_work
+from .errors import WORK_LIMIT, ResourceLimitError, capped_product, check_work
 from .latin import LATIN_SQUARE_COUNTS, _count_rows
 from .packing import has_perfect_matching
 from .perms import Perm, cycle_type, identity
@@ -156,19 +156,23 @@ def forbidden_count_brute(
     """
     if d < 1 or k < 1:
         raise ValueError("need d, k >= 1")
-    kf = math.factorial(k)
+    if k == 1:
+        return 1  # every row is (1), which no permutation of {1} avoids
     if d == 1:
-        # a single row: extendable iff a derangement pattern exists, i.e. k >= 2
-        return kf if k == 1 else 0
+        return 0  # a single row of k >= 2 colours has a derangement
     if use_class_reduction is None:
         use_class_reduction = d >= 3
     free_rows = d - 1
+    kf = capped_product(range(1, k + 1))  # k! once either charge below is admitted
     if not use_class_reduction:
-        check_work(kf**free_rows, "brute-force forbidden count")
+        check_work(capped_product(itertools.repeat(kf, free_rows)), "brute-force forbidden count")
         return kf * _count_block(k, (identity(k),), free_rows)
 
-    # one block per cycle type; listing the classes alone walks all k! rows
-    cost = max(kf, _partition_count(k) * kf ** (free_rows - 1))
+    # one block per cycle type; listing the classes alone walks all k! rows.
+    # p(k) takes O(k^2) steps, so it is computed only when the rest is admitted
+    cost = max(kf, capped_product(itertools.repeat(kf, free_rows - 1)))
+    if cost <= WORK_LIMIT:
+        cost = max(kf, _partition_count(k) * kf ** (free_rows - 1))
     check_work(cost, "brute-force forbidden count")
     blocks = _conjugacy_classes(k)
     ident = identity(k)

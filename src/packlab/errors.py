@@ -12,10 +12,12 @@ count those, one machine word for the mask builders, one (candidate,
 list) pair for the list thresholds, and one permutation entry for
 ``perms.all_permutations``; WORK_LIMIT bounds them all, and no call can
 raise it.  Step counts charged in more than one place are defined once,
-below ``check_work``.
+below ``check_work``; a count whose factors are themselves too costly to
+compute in full (k! for huge k) is taken with ``capped_product``.
 """
 
 import math
+from collections.abc import Iterable
 
 
 class PackLabError(Exception):
@@ -40,6 +42,20 @@ def check_work(steps: int, what: str) -> None:
     if steps > WORK_LIMIT:
         shown = steps if steps.bit_length() <= 64 else f"more than 2^{steps.bit_length() - 1}"
         raise ResourceLimitError(f"{what} needs {shown} steps, over the work limit {WORK_LIMIT}")
+
+
+def capped_product(factors: Iterable[int]) -> int:
+    """Product of positive factors, exact up to 2^64; past that, some value above 2^64.
+
+    It stops at the first partial product past 2^64, so refusing k = 10^6
+    takes a few multiplications, not k!.
+    """
+    product = 1
+    for factor in factors:
+        product *= factor
+        if product > 1 << 64:
+            break
+    return product
 
 
 def packing_scan_steps(d: int, t: int, k: int) -> int:

@@ -58,7 +58,11 @@ class ObstructionReport:
 # bitmask matching engine
 #
 # adm[j] is the bitmask of colours admissible at position j (bit c-1 for
-# colour c).  Kuhn's augmenting-path algorithm; k <= 11 in practice.
+# colour c); k <= 11 in practice.  Every caller asks only whether a perfect
+# matching exists, so the one kernel ``_perfect`` computes no maximum size:
+# a greedy pass gives each position its lowest free admissible colour, Kuhn's
+# augmenting paths run only from the positions it left over, and the first
+# of those that cannot augment ends the test (Kuhn never matches it later).
 # ---------------------------------------------------------------------------
 
 
@@ -97,39 +101,45 @@ def list_masks(rows, colours) -> list[int]:
     return adm
 
 
-def matching_size(adm: list[int]) -> int:
-    """Size of a maximum matching between positions and colours.
+def _perfect(adm: list[int]) -> bool:
+    """True iff every position gets its own colour; colour bits may exceed len(adm)."""
+    owner: dict[int, int] = {}  # colour bit -> position
+    taken = 0
+    left = []
+    for j, m in enumerate(adm):
+        free = m & ~taken
+        if free:
+            bit = free & -free
+            taken |= bit
+            owner[bit] = j
+        else:
+            left.append(j)
+    for j in left:
+        if not _augment(adm, owner, j, [0]):
+            return False
+    return True
 
-    adm[j] is the admissible-colour bitmask of position j; colour bits may
-    exceed the number of positions (partially assigned subproblems).
+
+def _augment(adm: list[int], owner: dict[int, int], j: int, seen: list[int]) -> bool:
+    """Kuhn's augmenting path from position j over colours not in seen[0].
+
+    A module function, not a closure: a closure that refers to itself is a
+    reference cycle per call, left for the garbage collector.
     """
-    k = len(adm)
-    if k == 0:
-        return 0
-    n_colours = max(m.bit_length() for m in adm)
-    match_colour = [-1] * n_colours  # colour index -> position index
-
-    def augment(j: int, seen: list[int]) -> bool:
-        avail = adm[j] & ~seen[0]
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            seen[0] |= bit
-            c = bit.bit_length() - 1
-            if match_colour[c] == -1 or augment(match_colour[c], seen):
-                match_colour[c] = j
-                return True
-        return False
-
-    size = 0
-    for j in range(k):
-        if augment(j, [0]):
-            size += 1
-    return size
+    avail = adm[j] & ~seen[0]
+    while avail:
+        bit = avail & -avail
+        seen[0] |= bit
+        rival = owner.get(bit)
+        if rival is None or _augment(adm, owner, rival, seen):
+            owner[bit] = j
+            return True
+        avail &= ~seen[0]
+    return False
 
 
 def has_perfect_matching(adm: list[int]) -> bool:
-    return matching_size(adm) == len(adm)
+    return _perfect(adm)
 
 
 def lex_smallest_system(adm: list[int]) -> Perm | None:
@@ -141,7 +151,7 @@ def lex_smallest_system(adm: list[int]) -> Perm | None:
     completable.
     """
     k = len(adm)
-    if not has_perfect_matching(adm):
+    if not _perfect(adm):
         return None
     chosen: list[int] = []
     used = 0
@@ -153,7 +163,7 @@ def lex_smallest_system(adm: list[int]) -> Perm | None:
             bit = avail & -avail
             avail ^= bit
             rest = [work[i] & ~(used | bit) for i in range(j + 1, k)]
-            if matching_size(rest) == k - j - 1:
+            if _perfect(rest):
                 chosen.append(bit.bit_length())
                 used |= bit
                 placed = True

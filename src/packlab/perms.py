@@ -10,10 +10,9 @@ invert, cycle type, parity) that everything else is built from.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterator, Sequence
 
-from .errors import check_work
+from .errors import capped_product, check_work
 
 Perm = tuple[int, ...]
 
@@ -103,7 +102,7 @@ def all_permutations(k: int) -> Iterator[Perm]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    check_work(k * math.factorial(k), f"enumerating the permutations of {{1..{k}}}")
+    check_work(capped_product(range(1, k + 1)) * k, f"enumerating the permutations of {{1..{k}}}")
     return itertools.permutations(range(1, k + 1))
 
 

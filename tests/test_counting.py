@@ -117,6 +117,29 @@ def test_brute_force_single_row():
     assert forbidden_count_brute(1, 4) == 0
 
 
+def test_brute_force_single_colour():
+    # every row is (1), which nothing avoids: one matrix, blocked, at any d
+    for reduce in (False, True):
+        assert [forbidden_count_brute(d, 1, use_class_reduction=reduce) for d in (2, 3, 5)] == [1] * 3
+    assert forbidden_count_brute(10**6, 1) == 1  # no row-by-row recursion
+
+
+def test_brute_force_asks_one_matching_question_per_matrix(monkeypatch):
+    # the first row is pinned, so (2, 3) judges the 3! second rows, each once
+    import packlab.counting as counting
+
+    calls = []
+    real = counting.has_perfect_matching
+
+    def recorder(adm):
+        calls.append(tuple(adm))
+        return real(adm)
+
+    monkeypatch.setattr(counting, "has_perfect_matching", recorder)
+    assert forbidden_count_brute(2, 3) == 18
+    assert len(calls) == 6
+
+
 def test_brute_force_pool_has_at_most_one_process_per_block(monkeypatch):
     # a stand-in pool that records its size and maps in this process, so no
     # process is ever started

@@ -10,7 +10,9 @@ from packlab.packing import (
     classify_obstructions,
     find_common_derangement,
     forbidden_witness_latin_structure,
+    has_perfect_matching,
     is_forbidden,
+    lex_smallest_system,
     list_masks,
     transported_masks,
 )
@@ -77,6 +79,73 @@ def test_matching_agrees_with_brute_force():
         if ext is not None:
             assert_sound(m, ext)
             assert ext == oracle  # both are lexicographically smallest
+
+
+def reference_matching_size(adm):
+    """Size of a maximum matching: Kuhn's algorithm from every position."""
+    k = len(adm)
+    if k == 0:
+        return 0
+    n_colours = max(m.bit_length() for m in adm)
+    match_colour = [-1] * n_colours  # colour index -> position index
+
+    def augment(j, seen):
+        avail = adm[j] & ~seen[0]
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            seen[0] |= bit
+            c = bit.bit_length() - 1
+            if match_colour[c] == -1 or augment(match_colour[c], seen):
+                match_colour[c] = j
+                return True
+        return False
+
+    return sum(augment(j, [0]) for j in range(k))
+
+
+def reference_lex_smallest_system(adm):
+    """Fix positions left to right, each to the least colour the rest can follow."""
+    k = len(adm)
+    if reference_matching_size(adm) != k:
+        return None
+    chosen = []
+    used = 0
+    for j in range(k):
+        avail = adm[j] & ~used
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            rest = [adm[i] & ~(used | bit) for i in range(j + 1, k)]
+            if reference_matching_size(rest) == k - j - 1:
+                chosen.append(bit.bit_length())
+                used |= bit
+                break
+    return tuple(chosen)
+
+
+def random_masks(rng, k):
+    """k masks over k to k + 3 colours, some empty, of one random density."""
+    n_colours = k + rng.randint(0, 3)
+    density = rng.random()
+    return [
+        0 if rng.random() < 0.05
+        else sum(1 << c for c in range(n_colours) if rng.random() < density)
+        for _ in range(k)
+    ]
+
+
+def test_matching_kernel_matches_plain_kuhn():
+    rng = random.Random(13)
+    cases = [[], [0], [0, 1], [1, 1], [3, 3, 0]]
+    cases += [random_masks(rng, rng.randint(1, 9)) for _ in range(4000)]
+    perfect = 0
+    for adm in cases:
+        expected = reference_matching_size(adm) == len(adm)
+        assert has_perfect_matching(adm) == expected, adm
+        assert lex_smallest_system(adm) == reference_lex_smallest_system(adm), adm
+        perfect += expected
+    assert 0.2 * len(cases) < perfect < 0.8 * len(cases)  # both answers are exercised
 
 
 def test_mask_builders_match_references():

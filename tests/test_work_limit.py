@@ -17,8 +17,9 @@ import packlab.counting as counting
 import packlab.perms as perms
 import packlab.search as search
 from packlab.certificates import make_certificate, verify_certificate
+from packlab.cli import main
 from packlab.covers import make_assignment, standard_cover
-from packlab.errors import WORK_LIMIT, ResourceLimitError, check_work
+from packlab.errors import WORK_LIMIT, ResourceLimitError, capped_product, check_work
 
 
 class Reached(Exception):
@@ -44,6 +45,23 @@ def record_charges(monkeypatch, module) -> list[int]:
     return charged
 
 
+@pytest.fixture
+def small_counts_only(monkeypatch):
+    """math.factorial and counting._partition_count fail the test above 12:
+    a gate that needs k! or p(k) of a huge k in full fails instead of hanging."""
+
+    def guard(real):
+        def guarded(n):
+            if n > 12:
+                pytest.fail(f"{real.__name__}({n}) computed in full")
+            return real(n)
+
+        return guarded
+
+    monkeypatch.setattr(math, "factorial", guard(math.factorial))
+    monkeypatch.setattr(counting, "_partition_count", guard(counting._partition_count))
+
+
 def admitted(call) -> bool:
     try:
         call()
@@ -66,6 +84,14 @@ def test_check_work_names_huge_counts():
         check_work(1 << 64, "probe")
     with pytest.raises(ResourceLimitError, match=r"needs more than 2\^\d+ steps"):
         perms.all_permutations(2000)
+
+
+def test_capped_product_is_exact_up_to_2_to_the_64():
+    assert capped_product([]) == 1
+    assert capped_product(range(1, 21)) == math.factorial(20)  # just under 2^64
+    assert capped_product([1 << 32, 1 << 32]) == 1 << 64
+    assert capped_product([1 << 32, (1 << 32) + 1, 3]) == (1 << 64) + (1 << 32)  # stops past 2^64
+    assert capped_product(itertools.count(2)) > 1 << 64  # ends on an endless input
 
 
 # (d, t, k) -> admitted; packing steps k * max(k!, (k!)^(d-1) * t * d),
@@ -169,7 +195,7 @@ def test_colouring_mask_gate(monkeypatch):
         (2, 12, True, False),  # listing the classes alone would walk 12! rows
     ],
 )
-def test_forbidden_count_gate(monkeypatch, d, k, reduce, ok):
+def test_forbidden_count_gate(monkeypatch, small_counts_only, d, k, reduce, ok):
     stub(monkeypatch, counting, "_count_block")
     stub(monkeypatch, counting, "_conjugacy_classes")
     call = lambda: counting.forbidden_count_brute(d, k, use_class_reduction=reduce)  # noqa: E731
@@ -248,7 +274,36 @@ def test_list_threshold_gate(monkeypatch, kind, k, steps, ok):
         (10, 36_288_000, False),
     ],
 )
-def test_all_permutations_gate(monkeypatch, k, steps, ok):
+def test_all_permutations_gate(monkeypatch, small_counts_only, k, steps, ok):
     charged = record_charges(monkeypatch, perms)
     assert admitted(lambda: perms.all_permutations(k)) == ok
     assert charged == [steps]
+
+
+@pytest.mark.parametrize(
+    "d,k,reduce",
+    [
+        (3, 10**6, True),  # neither k! nor p(k) is computed
+        (3, 10**6, False),
+        (2, 10**6, True),
+        (2, 10**6, False),
+        (10**6, 2, True),  # 2^(d-2) passes the cap after 65 factors
+        (10**6, 2, False),
+    ],
+)
+def test_forbidden_count_refuses_huge_shapes_at_once(monkeypatch, small_counts_only, d, k, reduce):
+    stub(monkeypatch, counting, "_count_block")
+    stub(monkeypatch, counting, "_conjugacy_classes")
+    with pytest.raises(ResourceLimitError, match=r"brute-force forbidden count needs more than 2\^"):
+        counting.forbidden_count_brute(d, k, use_class_reduction=reduce)
+
+
+def test_all_permutations_refuses_huge_k_at_once(small_counts_only):
+    with pytest.raises(ResourceLimitError, match=r"permutations of \{1..1000000\} needs more than 2\^"):
+        perms.all_permutations(10**6)
+
+
+def test_forbidden_count_cli_refuses_huge_k(monkeypatch, small_counts_only, capsys):
+    stub(monkeypatch, counting, "_count_block")
+    assert main(["forbidden-count", "--d", "3", "--k", "30000", "--method", "brute"]) == 2
+    assert "brute-force forbidden count needs more than 2^" in capsys.readouterr().err
