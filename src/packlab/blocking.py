@@ -19,20 +19,27 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 import time
+from collections.abc import Iterator, Sequence
 
 from .covers import CorrespondenceCover
-from .errors import check_work
+from .errors import candidate_count, capped_product, check_work
 from .packing import admissible_masks, has_perfect_matching
 from .perms import Perm, compose, identity, inverse
 
 
+def arrangements(rows: Sequence[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The pinned candidates over ``rows``: the first row as given, each later
+    row over its ``itertools.permutations``, in ``itertools.product`` order."""
+    first, *rest = rows
+    for arranged in itertools.product(*map(itertools.permutations, rest)):
+        yield (first,) + arranged
+
+
 def column_space(d: int, k: int) -> list[tuple[Perm, ...]]:
     """The (k!)^(d-1) canonical columns (identity, s_2, ..., s_d), in product order."""
-    perms = itertools.permutations(range(1, k + 1))
-    return [(identity(k),) + rest for rest in itertools.product(perms, repeat=d - 1)]
+    return list(arrangements((identity(k),) * d))
 
 
 def cover_from_columns(columns: list[tuple[Perm, ...]], picks) -> CorrespondenceCover:
@@ -72,24 +79,20 @@ def _translate_masks(actions: list[list[list[int]]], members: list[bool]) -> lis
     return masks
 
 
-def _check_mask_words(n_masks: int, n_targets: int, what: str) -> None:
-    """Charge the machine words that one pass over the masks touches."""
-    check_work(n_masks * -(-n_targets // 64), what)
-
-
 def packing_masks(d: int, k: int) -> list[int]:
     """Blocked-matrix masks of the canonical columns.
 
     Candidates are the U matrices (identity, m_2, ..., m_d), indexed like
     the columns; column c blocks m iff the transported matrix
     (identity, c_2·m_2, ..., c_d·m_d) is unextendable, so masks[0] is the
-    unextendable set F itself.  The (k!)^(d-1) masks of (k!)^(d-1) bits
-    each are charged to the work limit before any is built.
+    unextendable set F itself.  The machine words of the (k!)^(d-1) masks
+    of (k!)^(d-1) bits each, and the k! × k! inverse table, are charged to
+    the work limit before any is built.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    size = math.factorial(k) ** (d - 1)
-    _check_mask_words(size, size, "packing masks")
+    size, kf = candidate_count(d, k), capped_product(range(1, k + 1))
+    check_work(size * -(-size // 64) + kf * kf, "packing masks")
     # the candidate matrices are the canonical columns themselves
     members = [not has_perfect_matching(admissible_masks(m, k)) for m in column_space(d, k)]
     perms = list(itertools.permutations(range(1, k + 1)))
@@ -103,10 +106,10 @@ def colouring_masks(d: int, k: int) -> list[int]:
 
     Candidates are the k^d U colourings (a_1, ..., a_d), coded in base k in
     product order; a column blocks a colouring iff the transported colours
-    exhaust {1..k}.  The masks are charged to the work limit like the
-    packing masks.
+    exhaust {1..k}.  The masks' machine words are charged to the work
+    limit before any is built.
     """
-    _check_mask_words(math.factorial(k) ** (d - 1), k**d, "colouring masks")
+    check_work(candidate_count(d, k) * -(-(k**d) // 64), "colouring masks")
     perms = list(itertools.permutations(range(1, k + 1)))
     members = [len(set(a)) == k for a in itertools.product(range(k), repeat=d)]
     inv = [[p.index(x + 1) for x in range(k)] for p in perms]

@@ -28,9 +28,9 @@ import math
 import operator
 from collections.abc import Iterator
 
-from .blocking import min_cover_size
+from .blocking import arrangements, min_cover_size
 from .covers import ListAssignment, make_assignment
-from .errors import ResourceLimitError, check_work
+from .errors import ResourceLimitError, candidate_count, check_work
 from .packing import has_perfect_matching, list_masks
 
 #: the twelve reference matrices of the distinct-list types; rows are colour
@@ -144,13 +144,6 @@ def u_side_list_types() -> list[tuple[tuple[int, ...], ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _arrangements(u_lists) -> list[tuple[tuple[int, ...], ...]]:
-    """Candidate matrices: row 1 fixed to sorted order, rows 2.. permuted."""
-    first = tuple(sorted(u_lists[0]))
-    rest = [list(itertools.permutations(sorted(lst))) for lst in u_lists[1:]]
-    return [(first,) + combo for combo in itertools.product(*rest)]
-
-
 def _effective_lists(u_lists) -> list[tuple[int, ...]]:
     """All k-lists that can differ in blocking power: subsets of the used
     colours padded with fresh ones (fresh colours never constrain)."""
@@ -191,9 +184,9 @@ def _hall_cuts(rows) -> set[tuple[int, int]]:
 
 
 def _packing_cuts(u_lists) -> tuple[list, Iterator[set[tuple[int, int]]]]:
-    """(arrangements, the Hall cuts of each, computed lazily)."""
-    arrangements = _arrangements(u_lists)
-    return arrangements, map(_hall_cuts, arrangements)
+    """(arrangements: row 1 sorted, rows 2.. permuted; the Hall cuts of each, lazily)."""
+    candidates = list(arrangements([tuple(sorted(lst)) for lst in u_lists]))
+    return candidates, map(_hall_cuts, candidates)
 
 
 def _colouring_cuts(u_lists) -> tuple[list, list[set[tuple[int, int]]]]:
@@ -241,8 +234,8 @@ def packing_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int,
     permutation of the list is a common derangement of its rows), decided
     by the arrangement's Hall cuts.  Lists with zero mask are dropped.
     """
-    arrangements, cuts = _packing_cuts(u_lists)
-    return arrangements, _block_masks(u_lists, cuts)
+    candidates, cuts = _packing_cuts(u_lists)
+    return candidates, _block_masks(u_lists, cuts)
 
 
 def colouring_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
@@ -286,7 +279,7 @@ def list_packing_threshold(k: int) -> int | None:
     triples (repeated lists included).  None when no type can be fully
     blocked, whatever t.
     """
-    return _list_threshold(k, _packing_cuts, math.factorial(k) ** 2, "the list packing threshold")
+    return _list_threshold(k, _packing_cuts, candidate_count(3, k), "the list packing threshold")
 
 
 def list_colouring_threshold(k: int) -> int | None:

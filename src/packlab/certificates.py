@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .covers import CorrespondenceCover, ListAssignment, int_array
@@ -47,13 +47,7 @@ class Metadata:
     tool_version: str = __version__
 
     def to_json_dict(self) -> dict:
-        return {
-            "generator": self.generator,
-            "seed": self.seed,
-            "budget": self.budget,
-            "timestamp": self.timestamp,
-            "tool_version": self.tool_version,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -90,26 +84,25 @@ class Certificate:
         metadata = data.get("metadata") or {}
         if not isinstance(metadata, dict) or "generator" not in metadata:
             raise MalformedInputError("metadata.generator is required")
+        given = {f.name: metadata[f.name] for f in fields(Metadata) if f.name in metadata}
         return cls(
             claim=data.get("claim"),
             instance=instance,
             witness=data.get("witness"),
-            metadata=Metadata(
-                generator=metadata["generator"],
-                seed=metadata.get("seed"),
-                budget=metadata.get("budget"),
-                timestamp=metadata.get("timestamp"),
-                tool_version=metadata.get("tool_version", __version__),
-            ),
+            metadata=Metadata(**given),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise MalformedInputError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_parse_json(text))
+
+
+def _parse_json(text: str, where: str = ""):
+    """``json.loads``; malformed text raises MalformedInputError "invalid JSON{where}: ..."."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedInputError(f"invalid JSON{where}: {exc}") from exc
 
 
 def parse_instance(data) -> CorrespondenceCover | ListAssignment:
@@ -125,11 +118,8 @@ def parse_instance(data) -> CorrespondenceCover | ListAssignment:
 
 def load_instance(path: str) -> CorrespondenceCover | ListAssignment:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_instance(data)
+        text = fh.read()
+    return parse_instance(_parse_json(text, f" in {path}"))
 
 
 def save_json(obj_dict: dict, path: str) -> None:
@@ -314,10 +304,11 @@ def _verify_no_packing(instance) -> VerifyResult:
     """
     k = instance.k
     if isinstance(instance, CorrespondenceCover):
-        perms = list(itertools.permutations(range(1, k + 1)))
         ident = identity(k)
         columns = [instance.column(j) for j in range(instance.t)]
-        for rest in itertools.product(perms, repeat=instance.d - 1):
+        # one permutation table per free row: with d = 1 none is built
+        free_rows = (itertools.permutations(ident) for _ in range(instance.d - 1))
+        for rest in itertools.product(*free_rows):
             rows = (ident,) + rest
             adms = _all_matchable(transported_masks(rows, col, k) for col in columns)
             if adms is not None:
@@ -332,10 +323,8 @@ def _verify_no_packing(instance) -> VerifyResult:
 
     # list instance: candidates are arrangements of the U lists, the first
     # one pinned (relabeling the k colourings permutes rows simultaneously)
-    u_lists = instance.u_lists
-    arrangements = [list(itertools.permutations(lst)) for lst in u_lists[1:]]
-    first = u_lists[0]
-    for rest in itertools.product(*arrangements):
+    first, *rest_lists = instance.u_lists
+    for rest in itertools.product(*map(itertools.permutations, rest_lists)):
         rows = (first,) + rest
         adms = _all_matchable(list_masks(rows, v_list) for v_list in instance.v_lists)
         if adms is not None:

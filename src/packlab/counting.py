@@ -27,37 +27,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import WORK_LIMIT, ResourceLimitError, capped_product, check_work
+from .errors import WORK_LIMIT, ResourceLimitError, candidate_count, capped_product, check_work
 from .latin import LATIN_SQUARE_COUNTS, _count_rows
 from .packing import has_perfect_matching
 from .perms import Perm, cycle_type, identity
-
-_N_RANGE = range(1, 12)
-
-
-def _latin_count(d: int) -> int:
-    """Latin square count N(d) from the stored table.
-
-    The table is re-derived by enumeration in the latin module's tests
-    (n <= 6); reading it directly keeps the closed forms fast.
-    """
-    if d not in _N_RANGE:
-        raise ResourceLimitError(f"N({d}) unknown; d must be in 1..11")
-    return LATIN_SQUARE_COUNTS[d]
 
 
 def w_odd(d: int) -> int:
     """Number of unextendable d x (2d-1) packing matrices."""
     if not 2 <= d <= 11:
         raise ValueError(f"w_odd defined for 2 <= d <= 11, got {d}")
-    return math.comb(2 * d - 1, d) ** 2 * math.factorial(d - 1) ** d * _latin_count(d)
+    return math.comb(2 * d - 1, d) ** 2 * math.factorial(d - 1) ** d * LATIN_SQUARE_COUNTS[d]
 
 
 def w_even_parts(d: int) -> tuple[int, int, int]:
     """The inclusion-exclusion terms (w1, w2, w3) with w_even = w1 - (d-1) w2 + w3."""
     if not 3 <= d <= 11:
         raise ValueError(f"w_even defined for 3 <= d <= 11, got {d}")
-    n = _latin_count(d)
+    n = LATIN_SQUARE_COUNTS[d]
     c_d = math.comb(2 * d - 2, d)
     c_d1 = math.comb(2 * d - 2, d - 1)
     f1 = math.factorial(d - 1) ** d
@@ -75,7 +62,8 @@ def w_even(d: int) -> int:
     a non-integral result would mean the formula was transcribed wrong and
     is treated as an internal error.
     """
-    n = _latin_count(d)  # validates d via w_even_parts below as well
+    w1, w2, w3 = w_even_parts(d)  # checks d before N(d) is read
+    n = LATIN_SQUARE_COUNTS[d]
     bracket = (
         2 * Fraction(math.factorial(d - 1) ** d)
         - (d - 1) ** 2 * (Fraction(d - 1) + Fraction(1, d)) * math.factorial(d - 2) ** d
@@ -84,7 +72,6 @@ def w_even(d: int) -> int:
     if value.denominator != 1:
         raise AssertionError(f"w_even({d}) evaluated to non-integer {value}")
     result = int(value)
-    w1, w2, w3 = w_even_parts(d)
     if result != w1 - (d - 1) * w2 + w3:
         raise AssertionError(f"w_even({d}) disagrees with its inclusion-exclusion parts")
     return result
@@ -165,14 +152,14 @@ def forbidden_count_brute(
     free_rows = d - 1
     kf = capped_product(range(1, k + 1))  # k! once either charge below is admitted
     if not use_class_reduction:
-        check_work(capped_product(itertools.repeat(kf, free_rows)), "brute-force forbidden count")
+        check_work(candidate_count(d, k), "brute-force forbidden count")
         return kf * _count_block(k, (identity(k),), free_rows)
 
     # one block per cycle type; listing the classes alone walks all k! rows.
     # p(k) takes O(k^2) steps, so it is computed only when the rest is admitted
-    cost = max(kf, capped_product(itertools.repeat(kf, free_rows - 1)))
+    cost = max(kf, candidate_count(d - 1, k))
     if cost <= WORK_LIMIT:
-        cost = max(kf, _partition_count(k) * kf ** (free_rows - 1))
+        cost = max(kf, _partition_count(k) * candidate_count(d - 1, k))
     check_work(cost, "brute-force forbidden count")
     blocks = _conjugacy_classes(k)
     ident = identity(k)
@@ -256,8 +243,19 @@ def _certified_ceil(build_expr, start_dps: int = 40, max_dps: int = 4000) -> int
     raise ResourceLimitError("could not certify the ceiling at reasonable precision")
 
 
-def _iv_fraction(ctx, fr: Fraction):
-    return ctx.mpf(fr.numerator) / ctx.mpf(fr.denominator)
+def _certified_estimate(X0: int, w: int, formula) -> int:
+    """Certified ceiling of ``formula(ctx, x, X0)`` with x = X0/w as an interval.
+
+    Both estimates need x > 1 (ValueError otherwise).
+    """
+    x = Fraction(X0, w)
+    if x <= 1:
+        raise ValueError("estimate requires x = X0/w > 1")
+
+    def expr(ctx):
+        return formula(ctx, ctx.mpf(x.numerator) / ctx.mpf(x.denominator), ctx.mpf(X0))
+
+    return _certified_ceil(expr)
 
 
 def estimate_bound(X0: int, w: int) -> int:
@@ -267,15 +265,7 @@ def estimate_bound(X0: int, w: int) -> int:
     removing at least a 1/x fraction (at least one item per round once few
     remain), nothing survives.  Always >= iteration_bound(X0, w).
     """
-    x = Fraction(X0, w)
-    if x <= 1:
-        raise ValueError("estimate requires x = X0/w > 1")
-
-    def expr(ctx):
-        xv = _iv_fraction(ctx, x)
-        return ctx.log(xv / ctx.mpf(X0)) / ctx.log(1 - 1 / xv) + xv
-
-    return _certified_ceil(expr)
+    return _certified_estimate(X0, w, lambda ctx, x, n: ctx.log(x / n) / ctx.log(1 - 1 / x) + x)
 
 
 def estimate_bound_first_order(X0: int, w: int) -> int:
@@ -285,15 +275,7 @@ def estimate_bound_first_order(X0: int, w: int) -> int:
     whose values the reproduction report compares against the reference
     table.
     """
-    x = Fraction(X0, w)
-    if x <= 1:
-        raise ValueError("estimate requires x = X0/w > 1")
-
-    def expr(ctx):
-        xv = _iv_fraction(ctx, x)
-        return xv * ctx.log(ctx.mpf(X0) / xv) + xv
-
-    return _certified_ceil(expr)
+    return _certified_estimate(X0, w, lambda ctx, x, n: x * ctx.log(n / x) + x)
 
 
 # ---------------------------------------------------------------------------

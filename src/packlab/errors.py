@@ -12,11 +12,13 @@ count those, one machine word for the mask builders, one (candidate,
 list) pair for the list thresholds, and one permutation entry for
 ``perms.all_permutations``; WORK_LIMIT bounds them all, and no call can
 raise it.  Step counts charged in more than one place are defined once,
-below ``check_work``; a count whose factors are themselves too costly to
-compute in full (k! for huge k) is taken with ``capped_product``.
+below ``check_work``.  Every count is exact up to 2^64 and capped past it,
+so refusing a huge input takes a few multiplications: ``candidate_count``
+gives the (k!)^(d-1) pinned candidates that every union bound and scan
+over U matrices starts from, built with ``capped_product``.
 """
 
-import math
+import itertools
 from collections.abc import Iterable
 
 
@@ -58,9 +60,16 @@ def capped_product(factors: Iterable[int]) -> int:
     return product
 
 
+def candidate_count(d: int, k: int) -> int:
+    """(k!)^(d-1): the U matrices with the first row pinned, exact up to 2^64 and capped past it."""
+    if k == 1:
+        return 1  # 1^(d-1) for any d, without d - 1 factors
+    return capped_product(itertools.repeat(capped_product(range(1, k + 1)), d - 1))
+
+
 def packing_scan_steps(d: int, t: int, k: int) -> int:
-    """(k!)^(d-1) candidates × t vertices × d·k entries, or the k! × k row table."""
-    return k * max(math.factorial(k), math.factorial(k) ** (d - 1) * t * d)
+    """(k!)^(d-1) candidates × t vertices × d·k entries."""
+    return candidate_count(d, k) * t * d * k
 
 
 def colouring_scan_steps(d: int, t: int, k: int) -> int:
@@ -69,8 +78,19 @@ def colouring_scan_steps(d: int, t: int, k: int) -> int:
 
 
 def canonical_cover_count(d: int, t: int, k: int) -> int:
-    """Canonical k-fold covers of K_{d,t}: multisets of t - 1 of the (k!)^(d-1) column types."""
-    return math.comb(math.factorial(k) ** (d - 1) + t - 2, t - 1)
+    """Canonical k-fold covers of K_{d,t}: multisets of t - 1 of the n = (k!)^(d-1) column types.
+
+    C(n + t - 2, j) with j = min(t - 1, n - 1), built term by term; each
+    term at least doubles, so past 2^64 the loop stops within 65 terms.
+    """
+    n = candidate_count(d, k)
+    m, j = n + t - 2, min(t - 1, n - 1)
+    count = 1
+    for i in range(1, j + 1):
+        count = count * (m - j + i) // i
+        if count > 1 << 64:
+            break
+    return count
 
 
 class MalformedInputError(PackLabError, ValueError):

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .blocking import (
+    arrangements,
     colouring_masks,
     column_space,
     cover_from_columns,
@@ -31,7 +32,13 @@ from .blocking import (
 )
 from .counting import forbidden_count_brute
 from .covers import CorrespondenceCover, ListAssignment
-from .errors import canonical_cover_count, check_work, colouring_scan_steps, packing_scan_steps
+from .errors import (
+    candidate_count,
+    canonical_cover_count,
+    check_work,
+    colouring_scan_steps,
+    packing_scan_steps,
+)
 from .packing import has_perfect_matching, lex_smallest_system, list_masks, transported_masks
 from .perms import identity
 
@@ -112,8 +119,7 @@ def decide_correspondence_packing(cover: CorrespondenceCover) -> PackingWitness 
     """
     d, t, k = cover.d, cover.t, cover.k
     check_work(packing_scan_steps(d, t, k), "packing decision")
-    perms = list(itertools.permutations(range(1, k + 1)))
-    candidates = ((identity(k),) + rest for rest in itertools.product(perms, repeat=d - 1))
+    candidates = arrangements((identity(k),) * d)
     columns = [cover.column(j) for j in range(t)]
     found = _first_packing(candidates, functools.partial(transported_masks, k=k), columns)
     if found is None:
@@ -131,10 +137,7 @@ def decide_list_packing(assignment: ListAssignment) -> PackingWitness | None:
     arrangement of that vertex's own list.
     """
     check_work(packing_scan_steps(assignment.a, assignment.b, assignment.k), "packing decision")
-    first, *rest = assignment.u_lists
-    arrangements = itertools.product(*(itertools.permutations(lst) for lst in rest))
-    candidates = ((first,) + arranged for arranged in arrangements)
-    found = _first_packing(candidates, list_masks, assignment.v_lists)
+    found = _first_packing(arrangements(assignment.u_lists), list_masks, assignment.v_lists)
     if found is None:
         return None
     u_rows, positions = found
@@ -237,8 +240,7 @@ def _colourings_blocked(d: int, k: int) -> tuple[int, int]:
 
 def _matrices_blocked(d: int, k: int) -> tuple[int, int]:
     """(B, N): a column blocks B of the N = (k!)^(d-1) matrices with the first row pinned."""
-    kf = math.factorial(k)
-    return forbidden_count_brute(d, k) // kf, kf ** (d - 1)
+    return forbidden_count_brute(d, k) // math.factorial(k), candidate_count(d, k)
 
 
 def _blocking_cover(d: int, t: int, k: int, blocked, masks_of) -> CorrespondenceCover | None:

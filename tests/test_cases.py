@@ -9,7 +9,6 @@ import pytest
 import packlab
 from packlab.cases import (
     CASE_MATRICES,
-    _arrangements,
     _effective_lists,
     _hall_cuts,
     a10_assignment,
@@ -26,7 +25,7 @@ from packlab.cases import (
     packing_block_masks,
     u_side_list_types,
 )
-from packlab.blocking import min_cover_size
+from packlab.blocking import arrangements, min_cover_size
 from packlab.certificates import make_certificate, verify_certificate, witness_dict_for_lists
 from packlab.errors import ResourceLimitError
 from packlab.search import decide_list_packing
@@ -177,16 +176,16 @@ def test_reference_matrix_12_blocking_lists():
 def plain_packing_block_masks(u_lists):
     """Reference: one matching per (arrangement, list) pair."""
     u_sorted = [tuple(sorted(lst)) for lst in u_lists]
-    arrangements = _arrangements(u_sorted)
+    candidates = list(arrangements(u_sorted))
     masks = {}
     for lst in _effective_lists(u_sorted):
         mask = 0
-        for m, rows in enumerate(arrangements):
+        for m, rows in enumerate(candidates):
             if not check_case_matrix(rows, lst):
                 mask |= 1 << m
         if mask:
             masks[lst] = mask
-    return arrangements, masks
+    return candidates, masks
 
 
 def plain_colouring_block_masks(u_lists):
@@ -225,14 +224,14 @@ def matching_blockable(rows, u_lists) -> bool:
 
 def test_structural_blockability_matches_matching_engine():
     for triple in enumerate_triple_types(3, allow_repeats=True):
-        for rows in _arrangements(triple):
+        for rows in arrangements(triple):
             assert bool(_hall_cuts(rows)) == matching_blockable(rows, triple), rows
     rng = random.Random(4)
     types = enumerate_triple_types(4, allow_repeats=True)
     seen = set()
     for _ in range(60):
         triple = rng.choice(types)
-        rows = rng.choice(_arrangements(triple))
+        rows = rng.choice(list(arrangements(triple)))
         blockable = bool(_hall_cuts(rows))
         assert blockable == matching_blockable(rows, triple), rows
         seen.add(blockable)

@@ -1,10 +1,13 @@
 import json
+import re
 
 import pytest
 
 from packlab.cases import a10_assignment, k39_assignment
 from packlab.certificates import (
     Certificate,
+    Metadata,
+    load_instance,
     make_certificate,
     parse_instance,
     verify_certificate,
@@ -210,6 +213,30 @@ def test_parse_instance_rejects_unknown_kinds():
         parse_instance({"kind": "mystery"})
     with pytest.raises(MalformedInputError):
         Certificate.from_json("{not json")
+
+
+def test_malformed_json_message_names_its_source(tmp_path):
+    with pytest.raises(MalformedInputError, match=r"^invalid JSON: Expecting property name"):
+        Certificate.from_json("{not json")
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    with pytest.raises(MalformedInputError, match=rf"^invalid JSON in {re.escape(str(path))}: "):
+        load_instance(str(path))
+
+
+def test_metadata_round_trips_every_field():
+    cert = make_certificate(
+        "no_k_packing", k22_unpackable_cover(), None, "probe", 7, {"max_candidates": 5}, "T"
+    )
+    data = cert.to_json_dict()
+    assert list(data["metadata"]) == ["generator", "seed", "budget", "timestamp", "tool_version"]
+    data["metadata"]["tool_version"] = "0.0"
+    again = Certificate.from_json_dict(data)
+    assert again.metadata.tool_version == "0.0"
+    assert again.metadata.budget == {"max_candidates": 5} and again.metadata.seed == 7
+    del data["metadata"]["tool_version"], data["metadata"]["seed"]
+    defaults = Metadata(generator="probe", budget={"max_candidates": 5}, timestamp="T")
+    assert Certificate.from_json_dict(data).metadata == defaults
 
 
 def test_generated_certificates_always_verify():

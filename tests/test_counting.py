@@ -70,6 +70,8 @@ def test_domain_checks():
         w_even(2)
     with pytest.raises(ValueError):
         w_odd(12)
+    with pytest.raises(ValueError):
+        w_even(12)
 
 
 def test_brute_force_counts_match_closed_forms():

@@ -8,6 +8,7 @@ raise ResourceLimitError without reaching it.
 
 import itertools
 import math
+import re
 
 import pytest
 
@@ -19,7 +20,14 @@ import packlab.search as search
 from packlab.certificates import make_certificate, verify_certificate
 from packlab.cli import main
 from packlab.covers import make_assignment, standard_cover
-from packlab.errors import WORK_LIMIT, ResourceLimitError, capped_product, check_work
+from packlab.errors import (
+    WORK_LIMIT,
+    ResourceLimitError,
+    candidate_count,
+    canonical_cover_count,
+    capped_product,
+    check_work,
+)
 
 
 class Reached(Exception):
@@ -47,19 +55,21 @@ def record_charges(monkeypatch, module) -> list[int]:
 
 @pytest.fixture
 def small_counts_only(monkeypatch):
-    """math.factorial and counting._partition_count fail the test above 12:
-    a gate that needs k! or p(k) of a huge k in full fails instead of hanging."""
+    """math.factorial and counting._partition_count fail the test above 12,
+    math.comb above 10^6: a gate that needs k!, p(k) or a binomial of a huge
+    argument in full fails instead of hanging."""
 
-    def guard(real):
-        def guarded(n):
-            if n > 12:
-                pytest.fail(f"{real.__name__}({n}) computed in full")
-            return real(n)
+    def guard(real, most):
+        def guarded(n, *rest):
+            if n > most:
+                pytest.fail(f"{real.__name__}({n}, ...) computed in full")
+            return real(n, *rest)
 
         return guarded
 
-    monkeypatch.setattr(math, "factorial", guard(math.factorial))
-    monkeypatch.setattr(counting, "_partition_count", guard(counting._partition_count))
+    monkeypatch.setattr(math, "factorial", guard(math.factorial, 12))
+    monkeypatch.setattr(math, "comb", guard(math.comb, 10**6))
+    monkeypatch.setattr(counting, "_partition_count", guard(counting._partition_count, 12))
 
 
 def admitted(call) -> bool:
@@ -86,6 +96,25 @@ def test_check_work_names_huge_counts():
         perms.all_permutations(2000)
 
 
+def test_candidate_count_is_exact_up_to_2_to_the_64(small_counts_only):
+    assert candidate_count(1, 12) == 1
+    assert candidate_count(3, 4) == 576
+    assert candidate_count(2, 20) == 2432902008176640000  # 20!, just under 2^64
+    assert candidate_count(65, 2) == 1 << 64
+    assert candidate_count(66, 2) > 1 << 64
+    assert candidate_count(2, 21) > 1 << 64
+    assert candidate_count(10**9, 1) == 1  # no d - 1 factors of 1
+    assert candidate_count(10**9, 10**6) > 1 << 64
+
+
+def test_cover_count_is_the_binomial_up_to_2_to_the_64():
+    # C((k!)^(d-1) + t - 2, t - 1), capped past 2^64
+    for d, k, t in itertools.product(range(1, 5), range(1, 6), range(1, 41)):
+        exact = math.comb(candidate_count(d, k) + t - 2, t - 1)
+        capped = canonical_cover_count(d, t, k)
+        assert capped == exact if exact <= 1 << 64 else capped > 1 << 64, (d, k, t)
+
+
 def test_capped_product_is_exact_up_to_2_to_the_64():
     assert capped_product([]) == 1
     assert capped_product(range(1, 21)) == math.factorial(20)  # just under 2^64
@@ -94,7 +123,7 @@ def test_capped_product_is_exact_up_to_2_to_the_64():
     assert capped_product(itertools.count(2)) > 1 << 64  # ends on an endless input
 
 
-# (d, t, k) -> admitted; packing steps k * max(k!, (k!)^(d-1) * t * d),
+# (d, t, k) -> admitted; packing steps (k!)^(d-1) * t * d * k,
 # colouring steps k^d * t * d
 PACKING_PROBES = [
     ((3, 2, 6), True),  # 18 662 400
@@ -127,27 +156,19 @@ def test_packing_decision_and_verification_gate(shape, ok):
     assert admitted(lambda: verify_certificate(list_cert)) == ok
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [
-        (1, 1, 12),  # no free row to scan, but the row table alone has 12! rows
-        (1, 1, 10),  # row table 36 288 000 entries
-    ],
-)
-def test_packing_row_table_is_charged(monkeypatch, shape):
+@pytest.mark.parametrize("shape", [(1, 1, 12), (1, 1, 10)])
+def test_single_row_packing_builds_no_permutation_table(monkeypatch, shape):
+    # with d = 1 the pinned row is the one candidate: no row is permuted,
+    # so the t·k steps are admitted and no k! table is built
     d, t, k = shape
     cover = standard_cover(d, t, k)
     lists = make_assignment([range(1, k + 1)] * d, [range(1, k + 1)] * t)
     certs = [make_certificate("no_k_packing", x, None, generator="probe") for x in (cover, lists)]
     stub(monkeypatch, itertools, "permutations")
-    for call in (
-        lambda: search.decide_correspondence_packing(cover),
-        lambda: search.decide_list_packing(lists),
-        lambda: verify_certificate(certs[0]),
-        lambda: verify_certificate(certs[1]),
-    ):
-        with pytest.raises(ResourceLimitError):
-            call()
+    assert search.decide_correspondence_packing(cover) is not None
+    assert search.decide_list_packing(lists) is not None
+    for cert in certs:
+        assert verify_certificate(cert).reason == "surviving packing found"
 
 
 @pytest.mark.parametrize("shape,ok", COLOURING_PROBES)
@@ -307,3 +328,35 @@ def test_forbidden_count_cli_refuses_huge_k(monkeypatch, small_counts_only, caps
     stub(monkeypatch, counting, "_count_block")
     assert main(["forbidden-count", "--d", "3", "--k", "30000", "--method", "brute"]) == 2
     assert "brute-force forbidden count needs more than 2^" in capsys.readouterr().err
+
+
+HUGE = r"needs more than 2\^\d+ steps"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # 5 040 × 79 mask words + the 5 040² inverse table
+        (["greedy", "--d", "2", "--k", "7"], "packing masks needs 25799760 steps"),
+        (["hunt", "--d", "2", "--k", "7", "--t", "3"], "packing masks needs 25799760 steps"),
+        (["greedy", "--d", "3", "--k", "1000000"], "packing masks " + HUGE),
+        (["hunt", "--d", "3", "--k", "1000000", "--t", "3"], "packing masks " + HUGE),
+        # 2^19999 column types at fold 2
+        (["chi", "--param", "c", "--a", "20000", "--b", "20000"], "fold-2 cover scan " + HUGE),
+        (["chi", "--param", "cstar", "--a", "20000", "--b", "20000"], "forbidden count " + HUGE),
+    ],
+    ids=["greedy-2-7", "hunt-2-7", "greedy-3-1e6", "hunt-3-1e6", "chi-c", "chi-cstar"],
+)
+def test_cli_refuses_huge_blocking_work_at_once(
+    monkeypatch, small_counts_only, capsys, argv, message
+):
+    # refused from the step count alone: no mask is built, no block counted
+    for module, name in [
+        (blocking, "column_space"),
+        (blocking, "_translate_masks"),
+        (counting, "_count_block"),
+        (counting, "_conjugacy_classes"),
+    ]:
+        monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} reached"))
+    assert main(argv) == 2
+    assert re.search(message, capsys.readouterr().err)
