@@ -159,6 +159,40 @@ def greedy_cover(masks: list[int], n_targets: int) -> tuple[list[int], list[int]
     return picks, trace
 
 
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """The transposed bit matrix: entry x has bit c set iff rows[c] has bit x, for x < width.
+
+    The rows, cut to ``width`` bits, are packed little-endian into one int,
+    row_bytes bytes per row, so the matrix is a grid of 8 × 8 bit tiles:
+    8 rows of one byte column.  Three delta swaps (j = 4, 2, 1) transpose
+    every tile in place; round j trades the bit at (r, c + j) for the one
+    at (r + j, c), wherever r and c have bit j clear.  Byte B of row 8R + i
+    then holds the bits of rows 8R..8R+7 at column 8B + i, which is byte R
+    of entry 8B + i, so each entry is one strided slice of the bytes.  The
+    cost is three passes over the matrix, whatever its density.
+    """
+    if not width:
+        return []
+    row_bytes, cut = -(-width // 8), (1 << width) - 1
+    height = -(-len(rows) // 8) * 8
+    packed = b"".join((row & cut).to_bytes(row_bytes, "little") for row in rows)
+    matrix = int.from_bytes(packed, "little")
+    for j in (4, 2, 1):
+        # the bits that move: column c with c & j set, row r with r & j clear
+        line = bytes([sum(1 << b for b in range(8) if b & j)]) * row_bytes
+        tile_row = b"".join(bytes(row_bytes) if i & j else line for i in range(8))
+        moving = int.from_bytes(tile_row * (height // 8), "little")
+        shift = j * (8 * row_bytes - 1)
+        swap = (matrix ^ (matrix >> shift)) & moving
+        matrix ^= swap ^ (swap << shift)
+    packed = matrix.to_bytes(height * row_bytes, "little")
+    stride = 8 * row_bytes
+    return [
+        int.from_bytes(packed[x % 8 * row_bytes + x // 8 :: stride], "little")
+        for x in range(width)
+    ]
+
+
 def hill_climb_cover(
     masks: list[int],
     n_targets: int,
@@ -175,17 +209,32 @@ def hill_climb_cover(
     improvement restarts from a fresh seeded state.  With U the targets
     the other picks leave uncovered, mask m leaves |U ∖ m| = |U| − |U ∩ m|
     uncovered, so the best alternative is the first index with the most
-    hits |U ∩ m|.  Every replacement scan costs len(masks) evaluations;
-    None once the evaluation budget would be exceeded or, checked before
-    each scan, the time limit has passed.  Without a time limit the
-    outcome is a function of the inputs alone.
+    hits |U ∩ m|.
+
+    The hits of all masks are counted at once.  The incidence table,
+    built once per call, holds for target x the int ``covers[x]`` with bit
+    c set iff masks[c] hits x (the transposed mask matrix).  A scan walks
+    the targets of U and ripple-adds ``covers[x]`` into bit planes: plane
+    j holds bit j of every mask's hit count.  Narrowing the set of all
+    masks by each plane from the top down, whenever that leaves it
+    non-empty, leaves the masks with the most hits; its lowest bit is the
+    pick.  A scan then costs about |U| additions of len(masks)-bit ints, not
+    len(masks) popcounts of n_targets-bit ones, yet it still counts
+    len(masks) evaluations; None once the evaluation budget would be
+    exceeded or, checked before each scan, the time limit has passed.
+    Without a time limit the outcome is a function of the inputs alone.
+    One round's words, n_picks masks of n_targets bits, are charged to
+    the work limit before the state is built.
     """
     if n_picks < 1:
         raise ValueError("need n_picks >= 1")  # no scan would ever check a limit
+    check_work(n_picks * -(-n_targets // 64), "hill-climb round")
     if n_picks * max(m.bit_count() for m in masks) < n_targets:
         return None  # even the fattest picks leave a target uncovered
     full = (1 << n_targets) - 1
     nc = len(masks)
+    everyone = (1 << nc) - 1
+    covers = _transpose(masks, n_targets)
     rng = random.Random(seed)
     deadline = None if max_seconds is None else time.monotonic() + max_seconds
     evaluations = 0
@@ -204,10 +253,23 @@ def hill_climb_cover(
                 if max_evals is not None and evaluations > max_evals:
                     return None
                 uncovered = full & ~base
-                hits = [(uncovered & m).bit_count() for m in masks]
-                most = max(hits)
-                if most > hits[state[v]]:
-                    state[v] = hits.index(most)
+                planes: list[int] = []
+                while uncovered:
+                    low = uncovered & -uncovered
+                    uncovered ^= low
+                    carry = covers[low.bit_length() - 1]
+                    for j, plane in enumerate(planes):
+                        planes[j], carry = plane ^ carry, plane & carry
+                        if not carry:
+                            break
+                    else:
+                        planes.append(carry)
+                best = everyone
+                for plane in reversed(planes):
+                    if best & plane:
+                        best &= plane
+                if not best >> state[v] & 1:
+                    state[v] = (best & -best).bit_length() - 1
                     improved = True
             covered = 0
             for c in state:

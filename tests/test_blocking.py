@@ -159,6 +159,57 @@ def test_hill_climb_cover_matches_uncovered_count_scan():
     assert found > 100 and lost > 100
 
 
+@pytest.mark.parametrize(
+    "shape,picks",
+    [
+        ((2, 4), (1, 3)),  # no unextendable matrix: every mask is empty
+        ((3, 3), (1, 2, 3)),
+        ((4, 3), (1, 2, 5)),
+        ((3, 4), (14, 18, 20)),
+        ((5, 3), (1, 2, 12)),  # masks 1 265 of 1 296 bits full
+    ],
+    ids=["2-4", "3-3", "4-3", "3-4", "5-3"],
+)
+def test_hill_climb_cover_matches_uncovered_count_scan_on_packing_masks(shape, picks):
+    masks = packing_masks(*shape)
+    outcomes = []
+    for n_picks in picks:
+        for seed in range(3):
+            # 3·n_picks + 1 scans end one scan into a round; 200 scans end
+            # mid-round unless n_picks divides 200
+            for scans in (3 * n_picks + 1, 200):
+                max_evals = scans * len(masks) + len(masks) // 3
+                expected = plain_hill_climb_cover(masks, len(masks), n_picks, seed, max_evals)
+                got = hill_climb_cover(masks, len(masks), n_picks, seed, max_evals, None)
+                assert got == expected, (n_picks, seed, scans)
+                outcomes.append(expected is not None)
+    assert any(outcomes) == (shape != (2, 4))  # a cover exists iff some mask is non-empty
+    assert not all(outcomes)
+
+
+def naive_transpose(rows, width):
+    return [sum(1 << c for c, row in enumerate(rows) if row >> x & 1) for x in range(width)]
+
+
+def test_transpose_matches_bit_by_bit_reference():
+    rng = random.Random(0x7A05)
+    for _ in range(300):
+        masks, n_targets = random_mask_family(rng)
+        assert blocking._transpose(masks, n_targets) == naive_transpose(masks, n_targets)
+    for _ in range(100):
+        # several tiles each way, rows with bits past the width (which are cut)
+        width, n_rows = rng.randint(1, 70), rng.randint(0, 70)
+        rows = [rng.getrandbits(width + 3) for _ in range(n_rows)]
+        cut = [row & ((1 << width) - 1) for row in rows]
+        assert blocking._transpose(rows, width) == naive_transpose(cut, width)
+    masks = packing_masks(3, 4)
+    assert blocking._transpose(masks, len(masks)) == naive_transpose(masks, len(masks))
+    # duplicate and empty masks, no masks, no targets
+    for rows, width in [([0b101, 0b101, 0, 0b111, 0], 3), ([0, 0, 0], 9), ([], 4), ([0b11], 0), ([], 0)]:
+        assert blocking._transpose(rows, width) == naive_transpose(rows, width)
+    assert blocking._transpose([0b101, 0b101, 0, 0b111, 0], 3) == [0b01011, 0b01000, 0b01011]
+
+
 def test_hill_climb_cover_pinned_on_d3_k4():
     # picks recorded with the uncovered-count scan; seed 4 restarts 48 times first
     masks = packing_masks(3, 4)

@@ -196,6 +196,22 @@ def test_packing_mask_gate(monkeypatch, d, k, ok):
     assert admitted(lambda: search.random_unpackable_cover_search(d, k, 4, budget)) == ok
 
 
+@pytest.mark.parametrize(
+    "n_targets,n_picks,ok",
+    [
+        (64, WORK_LIMIT, True),
+        (64, WORK_LIMIT + 1, False),
+        (65, WORK_LIMIT // 2, True),  # two words per mask
+        (65, WORK_LIMIT // 2 + 1, False),
+    ],
+)
+def test_hill_climb_round_gate(monkeypatch, n_targets, n_picks, ok):
+    # n_picks masks of ceil(n_targets / 64) words, charged before the state is built
+    stub(monkeypatch, blocking, "_transpose")
+    masks = [1 << n_targets - 1]
+    assert admitted(lambda: blocking.hill_climb_cover(masks, n_targets, n_picks, 0, None, None)) == ok
+
+
 def test_colouring_mask_gate(monkeypatch):
     # with t = 2 there are only 2^(d-1) multisets, but 2^(d-1) masks of
     # 2^d bits: 2^14 * 512 words are admitted, 2^15 * 1024 are not
@@ -332,31 +348,38 @@ def test_forbidden_count_cli_refuses_huge_k(monkeypatch, small_counts_only, caps
 
 HUGE = r"needs more than 2\^\d+ steps"
 
+#: work that a command refused from its input size alone must not reach
+UNREACHED = [
+    (blocking, "column_space"),
+    (blocking, "_translate_masks"),
+    (blocking, "_transpose"),
+    (counting, "_count_block"),
+    (counting, "_conjugacy_classes"),
+]
+
 
 @pytest.mark.parametrize(
-    "argv,message",
+    "argv,message,unreached",
     [
         # 5 040 × 79 mask words + the 5 040² inverse table
-        (["greedy", "--d", "2", "--k", "7"], "packing masks needs 25799760 steps"),
-        (["hunt", "--d", "2", "--k", "7", "--t", "3"], "packing masks needs 25799760 steps"),
-        (["greedy", "--d", "3", "--k", "1000000"], "packing masks " + HUGE),
-        (["hunt", "--d", "3", "--k", "1000000", "--t", "3"], "packing masks " + HUGE),
+        (["greedy", "--d", "2", "--k", "7"], "packing masks needs 25799760 steps", UNREACHED),
+        (["hunt", "--d", "2", "--k", "7", "--t", "3"], "packing masks needs 25799760 steps", UNREACHED),
+        (["greedy", "--d", "3", "--k", "1000000"], "packing masks " + HUGE, UNREACHED),
+        (["hunt", "--d", "3", "--k", "1000000", "--t", "3"], "packing masks " + HUGE, UNREACHED),
         # 2^19999 column types at fold 2
-        (["chi", "--param", "c", "--a", "20000", "--b", "20000"], "fold-2 cover scan " + HUGE),
-        (["chi", "--param", "cstar", "--a", "20000", "--b", "20000"], "forbidden count " + HUGE),
+        (["chi", "--param", "c", "--a", "20000", "--b", "20000"], "fold-2 cover scan " + HUGE, UNREACHED),
+        (["chi", "--param", "cstar", "--a", "20000", "--b", "20000"], "forbidden count " + HUGE, UNREACHED),
+        # 10^9 picks × 9 words of 576 targets, charged once the (3, 4) masks are built
+        (["hunt", "--d", "3", "--k", "4", "--t", "1000000000"], "hill-climb round needs 9000000000 steps",
+         [(blocking, "_transpose")]),
     ],
-    ids=["greedy-2-7", "hunt-2-7", "greedy-3-1e6", "hunt-3-1e6", "chi-c", "chi-cstar"],
+    ids=["greedy-2-7", "hunt-2-7", "greedy-3-1e6", "hunt-3-1e6", "chi-c", "chi-cstar", "hunt-t-1e9"],
 )
 def test_cli_refuses_huge_blocking_work_at_once(
-    monkeypatch, small_counts_only, capsys, argv, message
+    monkeypatch, small_counts_only, capsys, argv, message, unreached
 ):
-    # refused from the step count alone: no mask is built, no block counted
-    for module, name in [
-        (blocking, "column_space"),
-        (blocking, "_translate_masks"),
-        (counting, "_count_block"),
-        (counting, "_conjugacy_classes"),
-    ]:
+    # refused from the step count alone, before the work the case names
+    for module, name in unreached:
         monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} reached"))
     assert main(argv) == 2
     assert re.search(message, capsys.readouterr().err)
