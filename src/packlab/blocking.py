@@ -17,6 +17,7 @@ surjective colourings), so mask_c = {c⁻¹·b : b ∈ B}.  Building them costs
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
@@ -87,18 +88,26 @@ def packing_masks(d: int, k: int) -> list[int]:
     (identity, c_2·m_2, ..., c_d·m_d) is unextendable, so masks[0] is the
     unextendable set F itself.  The machine words of the (k!)^(d-1) masks
     of (k!)^(d-1) bits each, and the k! × k! inverse table, are charged to
-    the work limit before any is built.
+    the work limit on every call, before the table is looked up.  The
+    table is built once per process for each of the last two (d, k); each
+    call returns a fresh list.
     """
     if d < 2:
         raise ValueError("need d >= 2")
     size, kf = candidate_count(d, k), capped_product(range(1, k + 1))
     check_work(size * -(-size // 64) + kf * kf, "packing masks")
+    return list(_packing_mask_table(d, k))
+
+
+@functools.lru_cache(maxsize=2)
+def _packing_mask_table(d: int, k: int) -> tuple[int, ...]:
+    """The masks of ``packing_masks``, built once and kept."""
     # the candidate matrices are the canonical columns themselves
     members = [not has_perfect_matching(admissible_masks(m, k)) for m in column_space(d, k)]
     perms = list(itertools.permutations(range(1, k + 1)))
     index_of = {p: i for i, p in enumerate(perms)}
     inv = [[index_of[compose(inverse(a), b)] for b in perms] for a in perms]
-    return _translate_masks([inv] * (d - 1), members)
+    return tuple(_translate_masks([inv] * (d - 1), members))
 
 
 def colouring_masks(d: int, k: int) -> list[int]:
@@ -338,12 +347,64 @@ def first_multiset_cover(
     masks: list[int], n_targets: int, n_picks: int, pinned: int
 ) -> tuple[int, ...] | None:
     """Lexicographically first multiset of n_picks mask indices whose union
-    with ``pinned`` covers every target, or None."""
-    full = (1 << n_targets) - 1
-    for picks in itertools.combinations_with_replacement(range(len(masks)), n_picks):
-        acc = pinned
-        for c in picks:
-            acc |= masks[c]
-        if acc == full:
-            return picks
+    with ``pinned`` covers every target, or None.
+
+    The order is that of ``itertools.combinations_with_replacement``:
+    nondecreasing index tuples, compared left to right.  The masks are sets
+    of targets (no bit at or past n_targets).  A depth-first search over
+    nondecreasing indices finds the same multiset without walking the ones
+    before it; see ``_lex_cover``.
+    """
+    if n_picks < 0:
+        raise ValueError("need n_picks >= 0")
+    return _lex_cover(masks, (1 << n_targets) - 1, pinned, n_picks, 0)
+
+
+def _lex_cover(
+    masks: list[int], full: int, acc: int, left: int, start: int
+) -> tuple[int, ...] | None:
+    """Lexicographically first nondecreasing tuple of ``left`` indices >= start
+    whose masks cover full ∖ acc, or None.
+
+    A tuple opening with index i is a run of i, as long as possible,
+    followed by the fewest picks from i + 1 on that cover what i leaves:
+    more copies of i come first in the order, and every cover of f picks
+    can be padded to f + 1 by repeating its last index.  A pick adding no
+    target is pure padding, and one that leaves nothing to cover is
+    completed by its run alone.  The fewest picks f are found by trying f
+    upwards, from the least count the best remaining masks could close to
+    the least of picks left, masks left and targets left, beyond which a
+    cover exists for every f or for none.  Each level of the search holds
+    one distinct index of the tuple, so its depth is at most
+    min(left, len(masks)), whatever the number of picks.
+
+    A branch is cut when the uncovered targets outnumber the picks left
+    times the most hits on them by any mask from i on (the suffix maximum
+    over the masks, one popcount each per node).
+    """
+    uncovered = full & ~acc
+    if not uncovered:
+        return (start,) * left if not left or start < len(masks) else None
+    if not left:
+        return None
+    need = uncovered.bit_count()
+    hits = [(m & uncovered).bit_count() for m in masks[start:]]
+    most = hits + [0]  # most[j]: the most hits among masks start + j ..
+    for j in range(len(hits) - 1, -1, -1):
+        most[j] = max(most[j], most[j + 1])
+    for j in range(len(hits)):
+        if need > left * most[j]:
+            return None  # nor any later index: the suffix maximum only falls
+        i = start + j
+        rest = acc | masks[i]
+        short = need - hits[j]
+        if not short:
+            return (i,) * left
+        if not most[j + 1]:
+            return None  # no mask after i hits what is left
+        widest = min(left - 1, len(masks) - 1 - i, short)
+        for fewest in range(-(-short // most[j + 1]), widest + 1):
+            tail = _lex_cover(masks, full, rest, fewest, i + 1)
+            if tail is not None:
+                return (i,) * (left - fewest) + tail
     return None

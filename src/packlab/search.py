@@ -252,6 +252,9 @@ def _blocking_cover(d: int, t: int, k: int, blocked, masks_of) -> Correspondence
     is charged or built.  Otherwise the all-identity column 0 is pinned at
     the first vertex and the t - 1 free columns run over multisets of
     ``masks_of(d, k)``: the verdict does not depend on the order of V.
+    The scan is charged the worst-case multiset count
+    ``canonical_cover_count``, so what is refused depends on (d, t, k)
+    alone; ``first_multiset_cover`` prunes, and usually ends far sooner.
     """
     per_column, n_targets = blocked(d, k)
     if t * per_column < n_targets:

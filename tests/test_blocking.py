@@ -262,6 +262,110 @@ def test_first_multiset_cover_is_lexicographically_first():
     assert first_multiset_cover(masks, 3, 1, 0b001) == (3,)
     assert first_multiset_cover(masks, 3, 1, 0) is None
     assert first_multiset_cover(masks, 3, 0, 0b111) == ()
+    # runs: padding with useless mask 0, then as many copies as can be spared
+    assert first_multiset_cover(masks, 3, 7, 0) == (0, 0, 0, 0, 0, 1, 3)
+    assert first_multiset_cover([0b01, 0b10], 2, 9, 0) == (0,) * 8 + (1,)
+    with pytest.raises(ValueError):
+        first_multiset_cover(masks, 3, -1, 0)
+
+
+def plain_first_multiset_cover(masks, n_targets, n_picks, pinned):
+    """Reference: walk every multiset in ``combinations_with_replacement`` order."""
+    full = (1 << n_targets) - 1
+    for picks in itertools.combinations_with_replacement(range(len(masks)), n_picks):
+        acc = pinned
+        for c in picks:
+            acc |= masks[c]
+        if acc == full:
+            return picks
+    return None
+
+
+def random_cover_family(rng):
+    """Seeded (masks, n_targets, n_picks, pinned): 0-10 targets, 0-6 masks
+    with empty and duplicate ones, 0-7 picks and random pinned targets."""
+    n_targets = rng.randint(0, 10)
+    density = rng.choice((0.1, 0.3, 0.6))
+    masks = [
+        sum(1 << b for b in range(n_targets) if rng.random() < density)
+        for _ in range(rng.randint(0, 6))
+    ]
+    if masks and rng.random() < 0.4:
+        masks += rng.choices(masks + [0], k=rng.randint(1, 2))
+        rng.shuffle(masks)
+    masks = masks[:6]
+    share = rng.choice((0.0, 0.2, 0.5))
+    pinned = sum(1 << b for b in range(n_targets) if rng.random() < share)
+    return masks, n_targets, rng.randint(0, 7), pinned
+
+
+def longest_run(picks):
+    return max((len(list(run)) for _, run in itertools.groupby(picks)), default=0)
+
+
+def test_first_multiset_cover_matches_plain_scan():
+    rng = random.Random(0xC0FE)
+    found = none = long_runs = padded = 0
+    for _ in range(6000):
+        masks, n_targets, n_picks, pinned = random_cover_family(rng)
+        expected = plain_first_multiset_cover(masks, n_targets, n_picks, pinned)
+        got = first_multiset_cover(masks, n_targets, n_picks, pinned)
+        assert got == expected, (masks, n_targets, n_picks, pinned)
+        if expected is None:
+            none += 1
+            continue
+        found += 1
+        long_runs += longest_run(expected) > len(masks)
+        padded += any(not masks[c] & ~pinned for c in expected)
+    # both verdicts, runs longer than the mask count and useless picks were exercised
+    assert found > 1000 and none > 1000 and long_runs > 100 and padded > 100
+
+
+def test_first_multiset_cover_matches_plain_scan_on_real_masks():
+    masks = colouring_masks(3, 3)  # fold 3 of chi_c(K_{3,5}) and chi_c(K_{3,6})
+    for n_picks in (4, 5):
+        expected = plain_first_multiset_cover(masks, 27, n_picks, masks[0])
+        assert first_multiset_cover(masks, 27, n_picks, masks[0]) == expected
+    assert expected == (3, 4, 18, 21, 22)
+    masks = packing_masks(2, 5)
+    for n_picks in (1, 2, 3):
+        expected = plain_first_multiset_cover(masks, 120, n_picks, masks[0])
+        assert first_multiset_cover(masks, 120, n_picks, masks[0]) == expected
+    assert first_multiset_cover(masks, 120, 3, 0) is None
+
+
+class CountedMask(int):
+    """A mask that counts the intersections and unions taken with it."""
+
+    uses = 0
+
+    def __and__(self, other):
+        CountedMask.uses += 1
+        return int(self) & other
+
+    def __or__(self, other):
+        CountedMask.uses += 1
+        return int(self) | other
+
+    __rand__, __ror__ = __and__, __or__
+
+
+def counted_cover(masks, n_targets, n_picks, pinned):
+    """first_multiset_cover and the number of mask operations it took."""
+    CountedMask.uses = 0
+    picks = first_multiset_cover([CountedMask(m) for m in masks], n_targets, n_picks, pinned)
+    return picks, CountedMask.uses
+
+
+def test_first_multiset_cover_cuts_branches_the_best_masks_cannot_close():
+    singles = [1 << b for b in range(12)]
+    # 12 targets, one hit per mask: 11 picks are refused after one pass of hits
+    assert counted_cover(singles, 12, 11, 0) == (None, 12)
+    picks, uses = counted_cover(singles, 12, 12, 0)
+    assert picks == tuple(range(12)) and uses <= 12 * 13
+    masks = colouring_masks(3, 3)
+    # the plain scan ORs 4 masks into each of all C(39, 4) = 82 251 multisets
+    assert counted_cover(masks, 27, 4, masks[0])[1] < 5000
 
 
 def test_hill_climb_cover_finds_a_cover_or_exhausts_its_budget():

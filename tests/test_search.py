@@ -15,6 +15,7 @@ from packlab.blocking import (
 from packlab.covers import canonicalize, k22_unpackable_cover, standard_cover
 from packlab.errors import ResourceLimitError, canonical_cover_count
 from packlab.certificates import make_certificate, verify_certificate, witness_dict_for_cover
+from packlab.cli import main
 from packlab.perms import identity, is_derangement_of, perm_to_str
 from packlab.search import (
     SearchBudget,
@@ -192,6 +193,21 @@ def test_chi_c_exact_values():
     assert chi_c_exact(1, 7) == 2
 
 
+def test_chi_c_exact_at_deep_t(capsys):
+    # fold 2 of K_{2,100000} is one run of 99 998 padding picks and one
+    # useful pick; the scan's depth does not grow with t
+    assert chi_c_exact(2, 100_000) == 3
+    assert main(["chi", "--param", "c", "--a", "2", "--b", "100000"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
+@pytest.mark.parametrize("a,b,steps", [(2, 74, 21111090), (3, 8, 26978328)])
+def test_chi_c_star_refusals_unchanged_by_the_pruned_scan(a, b, steps):
+    # the charge is the worst-case multiset count, not what the scan visits
+    with pytest.raises(ResourceLimitError, match=f"^fold-3 cover scan needs {steps} steps, "):
+        chi_c_star_exact(a, b)
+
+
 def test_chi_c_k44_counterexample():
     """K_{4,4} has an uncolourable 3-fold cover, so its correspondence
     chromatic number is 4 (the union bound 4 * 24 < 256 settles fold 4).
@@ -250,8 +266,8 @@ def test_k34_fold_three_unpackable_cover_verifies():
 
 
 def test_union_bound_fires_only_where_the_scan_finds_nothing():
-    # every shape with t * B < N whose plain multiset scan is cheap: at most
-    # 10^6 multisets over masks built in well under a second
+    # every shape with t * B < N whose scan is charged at most 10^6
+    # multisets, over masks built in well under a second
     packing_shapes = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
     colouring_shapes = [(d, k) for d in (2, 3, 4) for k in (2, 3, 4, 5) if (d, k) != (4, 5)]
     settled = []

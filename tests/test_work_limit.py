@@ -196,6 +196,16 @@ def test_packing_mask_gate(monkeypatch, d, k, ok):
     assert admitted(lambda: search.random_unpackable_cover_search(d, k, 4, budget)) == ok
 
 
+def test_packing_masks_charged_on_every_call(monkeypatch):
+    # the table is built once, but every call is charged and gets its own list
+    charged = record_charges(monkeypatch, blocking)
+    first, second = blocking.packing_masks(3, 3), blocking.packing_masks(3, 3)
+    assert first == second and first is not second
+    assert charged == [36 * 1 + 6 * 6] * 2
+    first[0] = 0
+    assert blocking.packing_masks(3, 3)[0] == second[0] != 0
+
+
 @pytest.mark.parametrize(
     "n_targets,n_picks,ok",
     [
