@@ -105,8 +105,13 @@ def _partition_count(k: int) -> int:
     return ways[k]
 
 
-def _count_block(k: int, fixed: tuple[Perm, ...], depth: int) -> int:
-    """Forbidden matrices whose first rows are `fixed`, with `depth` free rows."""
+def _count_block(k: int, fixed: tuple[Perm, ...], depth: int, memo: dict) -> int:
+    """Forbidden matrices whose first rows are `fixed`, with `depth` free rows.
+
+    `memo` is the ``latin._count_rows`` memo.  Its keys name states only up
+    to positions and colours, never the block, so the blocks of one count
+    may share it.
+    """
     full = (1 << k) - 1
     cols = [0] * k
     for row in fixed:
@@ -116,7 +121,7 @@ def _count_block(k: int, fixed: tuple[Perm, ...], depth: int) -> int:
     def unextendable(state: list[int]) -> int:
         return 0 if has_perfect_matching([full & ~used for used in state]) else 1
 
-    return _count_rows(k, cols, depth, unextendable, {}, avoid=False)
+    return _count_rows(k, cols, depth, unextendable, memo, avoid=False)
 
 
 def forbidden_count_brute(
@@ -134,12 +139,14 @@ def forbidden_count_brute(
     representative per conjugacy class, weighting each block by the class
     size: simultaneous conjugation of all rows fixes the identity first row
     and again preserves unextendability.  Each block is counted by
-    ``latin._count_rows``, memoized per block on the multiset of column
-    masks (relabeling positions alone also preserves unextendability); the
-    full matrices are still judged one by one.  The reductions and the memo
-    are exact and are cross-checked against a plain enumeration in the
-    tests.  With ``workers`` > 1 the class blocks are counted in a process
-    pool of at most one process per block.
+    ``latin._count_rows``, whose memo keys a partial matrix by its column
+    masks up to position order and one colour relabeling (relabeling
+    positions alone, or colours alone, also preserves unextendability); the
+    blocks of one serial count share that memo, and the full matrices are
+    still judged one by one.  The reductions and the memo are exact and are
+    cross-checked against a plain enumeration in the tests.  With
+    ``workers`` > 1 the class blocks are counted in a process pool of at
+    most one process per block, each block with a memo of its own.
     """
     if d < 1 or k < 1:
         raise ValueError("need d, k >= 1")
@@ -153,7 +160,7 @@ def forbidden_count_brute(
     kf = capped_product(range(1, k + 1))  # k! once either charge below is admitted
     if not use_class_reduction:
         check_work(candidate_count(d, k), "brute-force forbidden count")
-        return kf * _count_block(k, (identity(k),), free_rows)
+        return kf * _count_block(k, (identity(k),), free_rows, {})
 
     # one block per cycle type; listing the classes alone walks all k! rows.
     # p(k) takes O(k^2) steps, so it is computed only when the rest is admitted
@@ -168,11 +175,12 @@ def forbidden_count_brute(
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             subcounts = list(
-                pool.map(_count_block, *zip(*[(k, (ident, rep), free_rows - 1) for rep, _ in blocks]))
+                pool.map(_count_block, *zip(*[(k, (ident, rep), free_rows - 1, {}) for rep, _ in blocks]))
             )
         total = sum(size * c for (_, size), c in zip(blocks, subcounts))
     else:
-        total = sum(size * _count_block(k, (ident, rep), free_rows - 1) for rep, size in blocks)
+        memo: dict = {}
+        total = sum(size * _count_block(k, (ident, rep), free_rows - 1, memo) for rep, size in blocks)
     return kf * total
 
 

@@ -3,7 +3,8 @@
 The number of Latin squares of order n is denoted N(n) throughout the
 package; it enters the closed-form counts of unextendable packing matrices.
 Orders up to the enumeration limit are counted by a row-by-row
-enumeration memoized on the per-column used-value masks; orders 7..11 are
+enumeration memoized on the per-column used-value masks up to position
+order and one colour relabeling (``_count_rows``); orders 7..11 are
 served from stored constants taken from the published enumeration of
 B. D. McKay and I. M. Wanless, "On the number of Latin squares", Ann. Comb.
 9 (2005) 335-344.  The stored values for small orders are re-derived by
@@ -13,6 +14,7 @@ matrices in ``counting``.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
@@ -79,22 +81,90 @@ def is_latin(rows: Sequence[Sequence[int]], value_set: Iterable[int]) -> bool:
     return True
 
 
+@functools.cache
+def _histogram_table(k: int) -> tuple[tuple[int, ...], int, int]:
+    """(table, lowest, ones) for the colour histograms of ``_relabeled``.
+
+    Colour c owns bits [c * field, (c + 1) * field) of a packed histogram,
+    split into k + 1 counters of k.bit_length() bits, one per popcount; a
+    counter counts at most k masks, so it never carries.  table[m] adds 1
+    to the popcount(m) counter of each colour in m; ``lowest`` masks colour
+    0's field, and ``ones`` has a 1 at the bottom of each colour's field.
+    Kept per k for the process: the callers admit k <= 10 (n <= 6 for
+    rectangles, k! within the work limit for forbidden counts), so at most
+    2^11 entries in all.
+    """
+    width = k.bit_length()
+    field = (k + 1) * width
+    ones = sum(1 << (c * field) for c in range(k))
+    table = tuple(
+        sum(1 << (c * field + m.bit_count() * width) for c in range(k) if m >> c & 1)
+        for m in range(1 << k)
+    )
+    return table, (1 << field) - 1, ones
+
+
+def _relabeled(k: int, cols: list[int]) -> tuple[int, ...] | None:
+    """The sorted masks of `cols` under one colour relabeling, or None for the identity.
+
+    Colours are ordered by their packed histogram of the popcounts of the
+    masks that hold them, ties broken by label, and colour order[r] becomes
+    r.  Any relabeling gives an exact key; this one is cheap, and is the
+    identity when every colour sees the same popcounts, as in a Latin state.
+    """
+    table, lowest, ones = _histogram_table(k)
+    packed = 0
+    for m in cols:
+        packed += table[m]
+    if packed == (packed & lowest) * ones:
+        return None
+    field = lowest.bit_length()
+    hist = [packed >> (c * field) & lowest for c in range(k)]
+    order = sorted(range(k), key=hist.__getitem__)
+    if all(c == r for r, c in enumerate(order)):
+        return None
+    rank = [0] * k
+    for r, c in enumerate(order):
+        rank[c] = 1 << r
+    image = []
+    for m in cols:
+        new = 0
+        while m:
+            low = m & -m
+            new |= rank[low.bit_length() - 1]
+            m ^= low
+        image.append(new)
+    return tuple(sorted(image))
+
+
 def _count_rows(k: int, cols: list[int], depth: int, leaf, memo: dict, avoid: bool) -> int:
     """Sum of leaf(full state) over the ways to append `depth` rows to `cols`.
 
     Each row is a permutation of [k]; cols[j] is the bitmask of the values
     used so far in column j and is updated in place (and restored) as rows
     are appended.  With `avoid` a row may not reuse a value in its column
-    (Latin rows); otherwise rows are free.  Results are memoized in `memo`
-    on (depth, sorted masks): permuting the positions of every row is a
-    bijection on the completions, and every leaf used here is invariant
-    under it.  Full states (depth 0) are scored without the memo.
+    (Latin rows); otherwise rows are free.  Permuting the positions and
+    relabeling the colours of a state map its completions one to one onto
+    those of its image, and every leaf used here is invariant under both.
+    So a state at depth >= 1 is memoized in `memo` on (depth, sorted masks)
+    and, unless ``_relabeled`` finds the identity, on (depth, sorted masks
+    of its relabeled image); either key found answers the state, and a
+    count is stored under both.  Full states (depth 0) are scored without
+    the memo.
     """
     if depth == 0:
         return leaf(cols)
     key = (depth, tuple(sorted(cols)))
-    if key in memo:
-        return memo[key]
+    total = memo.get(key)
+    if total is not None:
+        return total
+    alias = _relabeled(k, cols)
+    if alias is not None:
+        alias = (depth, alias)
+        total = memo.get(alias)
+        if total is not None:
+            memo[key] = total
+            return total
     full = (1 << k) - 1
     total = 0
 
@@ -116,6 +186,8 @@ def _count_rows(k: int, cols: list[int], depth: int, leaf, memo: dict, avoid: bo
 
     fill(0, 0)
     memo[key] = total
+    if alias is not None:
+        memo[alias] = total
     return total
 
 

@@ -142,6 +142,29 @@ def test_brute_force_asks_one_matching_question_per_matrix(monkeypatch):
     assert len(calls) == 6
 
 
+def test_brute_force_class_blocks_share_one_orbit_keyed_memo(monkeypatch):
+    # 4 x 5 judges the 5! full states below each of 93 depth-1 memo misses;
+    # a sorted-mask memo per block missed 575 times (69 000 matrices)
+    import packlab.counting as counting
+
+    calls = 0
+    real = counting.has_perfect_matching
+
+    def counter(adm):
+        nonlocal calls
+        calls += 1
+        return real(adm)
+
+    monkeypatch.setattr(counting, "has_perfect_matching", counter)
+    assert forbidden_count_brute(4, 5) == 27374400
+    assert calls == 11160 < 69000 / 4
+
+
+def test_brute_force_l1_matches_w_even():
+    # the --run-long criterion L1, a few seconds in one process
+    assert forbidden_count_brute(4, 6) == w_even(4) == 367027200
+
+
 def test_brute_force_pool_has_at_most_one_process_per_block(monkeypatch):
     # a stand-in pool that records its size and maps in this process, so no
     # process is ever started
