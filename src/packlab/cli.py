@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cases, counting, latin, search
@@ -26,25 +25,6 @@ from .certificates import (
 from .covers import CorrespondenceCover, ListAssignment
 from .errors import MalformedInputError, PackLabError
 from .reproduction import run_reproduction
-
-
-def _workers(args) -> int:
-    """Worker count from --workers, else PACKLAB_WORKERS, else 1.
-
-    The only place that reads PACKLAB_WORKERS; library functions take an
-    explicit count.
-    """
-    if args.workers is not None:
-        source, value = "--workers", args.workers
-    else:
-        source, value = "PACKLAB_WORKERS", os.environ.get("PACKLAB_WORKERS") or "1"
-    try:
-        workers = int(value)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise MalformedInputError(f"{source} must be a positive integer, got {value!r}")
-    return workers
 
 
 def _emit(args, text_lines, structured) -> None:
@@ -82,7 +62,7 @@ def _cmd_forbidden_count(args) -> int:
         else:
             raise PackLabError("closed forms exist only for k = 2d-1 or k = 2d-2")
     if args.method in ("brute", "both"):
-        results["brute"] = counting.forbidden_count_brute(d, k, workers=_workers(args))
+        results["brute"] = counting.forbidden_count_brute(d, k)
     lines = [f"{name}: {value}" for name, value in results.items()]
     agree = len(set(results.values())) == 1
     structured = {"d": d, "k": k, **{m: v for m, v in results.items()}, "agree": agree}
@@ -229,7 +209,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     emit = None if args.format == "structured" else print
-    report = run_reproduction(long=args.long, workers=_workers(args), emit=emit)
+    report = run_reproduction(long=args.long, emit=emit)
     if args.out:
         save_json(report.to_json_dict(), args.out)
     if args.format == "structured":
@@ -247,10 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("text", "structured"), default="text")
 
-    def add_workers(p):
-        p.add_argument("--workers", default=None,
-                       help="worker count (default: PACKLAB_WORKERS or 1)")
-
     p = sub.add_parser("latin", help="Latin square counts")
     latin_sub = p.add_subparsers(dest="latin_cmd", required=True)
     pc = latin_sub.add_parser("count", help="exact number of Latin squares of order n")
@@ -263,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("formula", "brute", "both"), default="formula")
     add_common(p)
-    add_workers(p)
     p.set_defaults(func=_cmd_forbidden_count)
 
     p = sub.add_parser("thresholds", help="threshold bound table")
@@ -316,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--long", action="store_true", help="include the slow items")
     p.add_argument("--out", help="write the structured report to this path")
     add_common(p)
-    add_workers(p)
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

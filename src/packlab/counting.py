@@ -142,11 +142,11 @@ def forbidden_count_brute(
     ``latin._count_rows``, whose memo keys a partial matrix by its column
     masks up to position order and one colour relabeling (relabeling
     positions alone, or colours alone, also preserves unextendability); the
-    blocks of one serial count share that memo, and the full matrices are
-    still judged one by one.  The reductions and the memo are exact and are
-    cross-checked against a plain enumeration in the tests.  With
-    ``workers`` > 1 the class blocks are counted in a process pool of at
-    most one process per block, each block with a memo of its own.
+    blocks of one count share that memo, and the full matrices are still
+    judged one by one.  The reductions and the memo are exact and are
+    cross-checked against a plain enumeration in the tests.  Every count
+    runs in one process; ``workers`` is never read and stays only because
+    the benchmark harness passes it.
     """
     if d < 1 or k < 1:
         raise ValueError("need d, k >= 1")
@@ -170,18 +170,8 @@ def forbidden_count_brute(
     check_work(cost, "brute-force forbidden count")
     blocks = _conjugacy_classes(k)
     ident = identity(k)
-    if workers > 1 and len(blocks) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            subcounts = list(
-                pool.map(_count_block, *zip(*[(k, (ident, rep), free_rows - 1, {}) for rep, _ in blocks]))
-            )
-        total = sum(size * c for (_, size), c in zip(blocks, subcounts))
-    else:
-        memo: dict = {}
-        total = sum(size * _count_block(k, (ident, rep), free_rows - 1, memo) for rep, size in blocks)
-    return kf * total
+    memo: dict = {}
+    return kf * sum(size * _count_block(k, (ident, rep), free_rows - 1, memo) for rep, size in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,15 @@ The criteria C1-C13 are defined here and nowhere else: each criterion
 function recomputes its quantities from scratch and returns one ``Item`` per
 reported value.  ``run_reproduction`` and the acceptance suite
 (``tests/test_acceptance.py``) both run the tuples ``CRITERIA`` and
-``LONG_CRITERIA``.  The runner prints one pass/fail line per item, keeps
-going after failures, and can emit the whole report as structured JSON.
-The long items (hundreds of millions of matrix checks, exact chromatic
-numbers of K_{4,4}) only run when requested.
+``LONG_CRITERIA`` of zero-argument criteria, in one process.  The runner
+prints one pass/fail line per item, keeps going after failures, and can
+emit the whole report as structured JSON.  The long items (hundreds of
+millions of matrix checks, exact chromatic numbers of K_{4,4}) only run
+when requested.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -336,12 +336,12 @@ def c13() -> list[Item]:
     ]
 
 
-def l1(workers: int = 1) -> list[Item]:
+def l1() -> list[Item]:
     return [_item("L1", "w_even(4) = brute count (d=4, k=6) = 367027200",
-                  counting.forbidden_count_brute(4, 6, workers=workers), counting.w_even(4))]
+                  counting.forbidden_count_brute(4, 6), counting.w_even(4))]
 
 
-def l2(workers: int = 1) -> list[Item]:
+def l2() -> list[Item]:
     """Stated expectation: chi_c(K_{4,4}) = 3.  The computation refutes it:
     an explicit uncolourable 3-fold cover of K_{4,4} exists (see
     tests/test_search.py::test_chi_c_k44_counterexample for the verified
@@ -356,7 +356,7 @@ def l2(workers: int = 1) -> list[Item]:
                        "this item reports the mismatch honestly")]
 
 
-def l3(workers: int = 1) -> list[Item]:
+def l3() -> list[Item]:
     return [_item("L3", "N(6) by enumeration matches the stored constant",
                   latin.count_latin_squares(6), latin.LATIN_SQUARE_COUNTS[6])]
 
@@ -364,19 +364,16 @@ def l3(workers: int = 1) -> list[Item]:
 CRITERIA: tuple[Callable[[], list[Item]], ...] = (
     c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13,
 )
-#: run only with ``long``; each takes the worker count of the brute-force count
-LONG_CRITERIA: tuple[Callable[[int], list[Item]], ...] = (l1, l2, l3)
+#: run only with ``long``: the slow cross-checks, each called like ``CRITERIA``
+LONG_CRITERIA: tuple[Callable[[], list[Item]], ...] = (l1, l2, l3)
 
 
 def run_reproduction(
     long: bool = False,
-    workers: int = 1,
     emit: Callable[[str], None] | None = print,
 ) -> Report:
     report = Report(notes=list(NOTES))
-    criteria = list(CRITERIA)
-    if long:
-        criteria += [functools.partial(criterion, workers) for criterion in LONG_CRITERIA]
+    criteria = CRITERIA + LONG_CRITERIA if long else CRITERIA
     for criterion in criteria:
         for item in criterion():
             report.items.append(item)

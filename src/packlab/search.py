@@ -211,8 +211,8 @@ def random_unpackable_cover_search(
     on the number of candidate matrices blocked by no vertex.  Returns a
     cover blocking them all, or None when the candidate budget (or time
     limit) runs out.  Fixed (seed, budget) gives a fixed outcome.  The search runs
-    in one thread; ``workers`` is accepted for compatibility and the result
-    never depends on it.
+    in one thread; ``workers`` is never read and stays only because the
+    benchmark harness passes it.
     """
     if t_target < 1:
         raise ValueError("need t_target >= 1")

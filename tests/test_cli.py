@@ -159,34 +159,22 @@ def test_hunt_finds_and_writes_reproducible_certificates(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "abc"])
-def test_bad_workers_flag_is_input_error(capsys, value):
-    code, _, err = run(capsys, "forbidden-count", "--d", "2", "--k", "3",
-                       "--method", "brute", "--workers", value)
-    assert code == 2
-    assert "--workers" in err and repr(value) in err
-
-
-@pytest.mark.parametrize("value", ["0", "-3", "abc"])
-def test_bad_workers_env_is_input_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("PACKLAB_WORKERS", value)
-    code, _, err = run(capsys, "forbidden-count", "--d", "2", "--k", "3", "--method", "brute")
-    assert code == 2
-    assert "PACKLAB_WORKERS" in err and repr(value) in err
-
-
-def test_workers_flag_only_where_read(capsys):
-    # only forbidden-count and reproduce spread work over processes
+@pytest.mark.parametrize("command", [
+    ["forbidden-count", "--d", "2", "--k", "3", "--method", "brute"],
+    ["reproduce"],
+    ["greedy", "--d", "2", "--k", "3"],
+], ids=lambda argv: argv[0])
+def test_workers_flag_only_where_read(capsys, command):
+    # every count runs in one process, so no subcommand takes a worker count
     with pytest.raises(SystemExit) as exc:
-        main(["greedy", "--d", "2", "--k", "3", "--workers", "2"])
+        main([*command, "--workers", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
-def test_workers_flag_overrides_env(capsys, monkeypatch):
+def test_workers_env_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("PACKLAB_WORKERS", "abc")
-    code, out, _ = run(capsys, "forbidden-count", "--d", "2", "--k", "3",
-                       "--method", "brute", "--workers", "1")
+    code, out, _ = run(capsys, "forbidden-count", "--d", "2", "--k", "3", "--method", "brute")
     assert code == 0 and out.strip() == "brute: 18"
 
 

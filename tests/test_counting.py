@@ -165,31 +165,6 @@ def test_brute_force_l1_matches_w_even():
     assert forbidden_count_brute(4, 6) == w_even(4) == 367027200
 
 
-def test_brute_force_pool_has_at_most_one_process_per_block(monkeypatch):
-    # a stand-in pool that records its size and maps in this process, so no
-    # process is ever started
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert forbidden_count_brute(3, 4, workers=10_000) == 1920
-    assert sizes == [5]  # one per conjugacy class of S_4
-
-
 def test_brute_force_budget():
     with pytest.raises(ResourceLimitError):
         forbidden_count_brute(4, 6, use_class_reduction=False)

@@ -1,9 +1,13 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import packlab
 import packlab.search as search
 from packlab.blocking import (
     colouring_masks,
@@ -430,13 +434,23 @@ def test_random_search_single_vertex_impossible():
     assert random_unpackable_cover_search(2, 3, 1, budget) is None
 
 
-def test_random_search_deterministic_across_workers():
-    budget = SearchBudget(max_candidates=400_000, seed=11)
-    covers = [
-        random_unpackable_cover_search(3, 4, 20, budget, workers=w) for w in (1, 2, 3)
-    ]
-    assert covers[0] is not None
-    assert covers[0].to_json_dict() == covers[1].to_json_dict() == covers[2].to_json_dict()
+def test_hunt_certificate_identical_across_interpreters(tmp_path):
+    # two fresh interpreters with different string-hash seeds, so neither set
+    # iteration order nor any state left in this process can steer the hunt
+    src = os.path.dirname(os.path.dirname(packlab.__file__))
+    outs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hunt{hash_seed}.json"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "packlab.cli", "hunt", "--d", "3", "--k", "4", "--t", "20",
+             "--seed", "11", "--budget-candidates", "400000", "--no-timestamp",
+             "--out", str(out)],
+            env=env, capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_random_search_seed_11_certificate_pinned():
