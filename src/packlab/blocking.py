@@ -133,7 +133,8 @@ def colouring_masks(d: int, k: int) -> list[int]:
 def greedy_cover(masks: list[int], n_targets: int) -> tuple[list[int], list[int]]:
     """(picks, trace): repeatedly pick the mask covering the most uncovered
     targets, ties going to the smallest index; trace counts the uncovered
-    targets before the first pick and after each one.
+    targets before the first pick and after each one.  Bits at or past
+    n_targets are ignored.
 
     Lazy (accelerated) greedy: a heap keeps each unpicked mask c under the
     key (-bound, c), where bound is its gain at some earlier step; the key
@@ -212,35 +213,41 @@ def hill_climb_cover(
 ) -> list[int] | None:
     """n_picks mask indices covering every target, found by seeded hill-climbing.
 
-    Objective: the number of uncovered targets.  Round-robin over the
-    picks, each is replaced by the best alternative (fewest uncovered,
-    then smallest index) when that improves on it; a round without
-    improvement restarts from a fresh seeded state.  With U the targets
-    the other picks leave uncovered, mask m leaves |U ∖ m| = |U| − |U ∩ m|
-    uncovered, so the best alternative is the first index with the most
-    hits |U ∩ m|.
+    Bits at or past n_targets are ignored.  Objective: the number of
+    uncovered targets.  Round-robin over the picks, each is replaced by the
+    best alternative (fewest uncovered, then smallest index) when that
+    improves on it; a round without improvement restarts from a fresh
+    seeded state.  With U the targets the other picks leave uncovered, mask
+    m leaves |U ∖ m| = |U| − |U ∩ m| uncovered, so the best alternative is
+    the first index with the most hits |U ∩ m|.
 
     The hits of all masks are counted at once.  The incidence table,
     built once per call, holds for target x the int ``covers[x]`` with bit
-    c set iff masks[c] hits x (the transposed mask matrix).  A scan walks
-    the targets of U and ripple-adds ``covers[x]`` into bit planes: plane
-    j holds bit j of every mask's hit count.  Narrowing the set of all
-    masks by each plane from the top down, whenever that leaves it
+    c set iff masks[c] hits x (the transposed mask matrix).  Ripple-adding
+    ``covers[x]`` over the targets of U into bit planes counts every
+    mask's hits: plane j holds bit j of each count.  Narrowing the set of
+    all masks by each plane from the top down, whenever that leaves it
     non-empty, leaves the masks with the most hits; its lowest bit is the
-    pick.  A scan then costs about |U| additions of len(masks)-bit ints, not
-    len(masks) popcounts of n_targets-bit ones, yet it still counts
-    len(masks) evaluations; None once the evaluation budget would be
-    exceeded or, checked before each scan, the time limit has passed.
-    Without a time limit the outcome is a function of the inputs alone.
-    One round's words, n_picks masks of n_targets bits, are charged to
-    the work limit before the state is built.
+    pick.  U is the disjoint union of the targets no pick covers, the same
+    for every pick, and of those only the current pick covers.  The planes
+    of the first part, with the targets covered exactly once, are kept
+    (``_tally``) and rebuilt only after a restart or a replacement, in
+    O(n_picks) ORs of n_targets-bit ints; a scan copies them and adds only
+    the targets its pick alone covers.  A scan therefore costs a few
+    additions of len(masks)-bit ints, not len(masks) popcounts of
+    n_targets-bit ones, yet it still counts len(masks) evaluations; None
+    once the evaluation budget would be exceeded or, checked before each
+    scan, the time limit has passed.  Without a time limit the outcome is
+    a function of the inputs alone.  One round's words, n_picks masks of
+    n_targets bits, are charged to the work limit before the state is
+    built.
     """
     if n_picks < 1:
         raise ValueError("need n_picks >= 1")  # no scan would ever check a limit
     check_work(n_picks * -(-n_targets // 64), "hill-climb round")
-    if n_picks * max(m.bit_count() for m in masks) < n_targets:
-        return None  # even the fattest picks leave a target uncovered
     full = (1 << n_targets) - 1
+    if n_picks * max((m & full).bit_count() for m in masks) < n_targets:
+        return None  # even the fattest picks leave a target uncovered
     nc = len(masks)
     everyone = (1 << nc) - 1
     covers = _transpose(masks, n_targets)
@@ -249,44 +256,56 @@ def hill_climb_cover(
     evaluations = 0
     while True:
         state = [rng.randrange(nc) for _ in range(n_picks)]
+        once, nowhere, floor = _tally(masks, state, full, covers)
         while True:
             improved = False
             for v in range(n_picks):
                 if deadline is not None and time.monotonic() > deadline:
                     return None
-                base = 0
-                for w, c in enumerate(state):
-                    if w != v:
-                        base |= masks[c]
                 evaluations += nc
                 if max_evals is not None and evaluations > max_evals:
                     return None
-                uncovered = full & ~base
-                planes: list[int] = []
-                while uncovered:
-                    low = uncovered & -uncovered
-                    uncovered ^= low
-                    carry = covers[low.bit_length() - 1]
-                    for j, plane in enumerate(planes):
-                        planes[j], carry = plane ^ carry, plane & carry
-                        if not carry:
-                            break
-                    else:
-                        planes.append(carry)
                 best = everyone
-                for plane in reversed(planes):
+                for plane in reversed(_add_hits(floor, covers, once & masks[state[v]])):
                     if best & plane:
                         best &= plane
                 if not best >> state[v] & 1:
                     state[v] = (best & -best).bit_length() - 1
                     improved = True
-            covered = 0
-            for c in state:
-                covered |= masks[c]
-            if covered == full:
+                    once, nowhere, floor = _tally(masks, state, full, covers)
+            if not nowhere:
                 return state
             if not improved:
                 break  # local minimum: restart
+
+
+def _tally(
+    masks: list[int], state: list[int], full: int, covers: list[int]
+) -> tuple[int, int, list[int]]:
+    """(once, nowhere, planes): the targets the picks of ``state`` cover
+    exactly once and not at all, and the hit planes of the latter."""
+    seen = more = 0
+    for c in state:
+        more |= seen & masks[c]
+        seen |= masks[c]
+    nowhere = full & ~seen
+    return full & seen & ~more, nowhere, _add_hits([], covers, nowhere)
+
+
+def _add_hits(planes: list[int], covers: list[int], targets: int) -> list[int]:
+    """A copy of the bit planes with ``covers[x]`` ripple-added for every target x."""
+    planes = list(planes)
+    while targets:
+        low = targets & -targets
+        targets ^= low
+        carry = covers[low.bit_length() - 1]
+        for j, plane in enumerate(planes):
+            planes[j], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return planes
 
 
 def min_cover_size(masks: list[int], n_targets: int, limit: int) -> int | None:
@@ -296,10 +315,11 @@ def min_cover_size(masks: list[int], n_targets: int, limit: int) -> int | None:
     on the uncovered bit with the fewest useful covering masks, and a node
     is cut when even the fattest remaining picks cannot close the deficit.
     Returns the minimum if it is <= limit, else None (which also covers the
-    case where some bit is covered by no mask at all).
+    case where some bit is covered by no mask at all).  Bits at or past
+    n_targets are ignored.
     """
     full = (1 << n_targets) - 1
-    ordered = sorted(set(masks), key=lambda m: -m.bit_count())
+    ordered = sorted({m & full for m in masks}, key=lambda m: -m.bit_count())
     maximal: list[int] = []
     for m in ordered:
         if not any(m | o == o for o in maximal):
@@ -350,8 +370,8 @@ def first_multiset_cover(
     with ``pinned`` covers every target, or None.
 
     The order is that of ``itertools.combinations_with_replacement``:
-    nondecreasing index tuples, compared left to right.  The masks are sets
-    of targets (no bit at or past n_targets).  A depth-first search over
+    nondecreasing index tuples, compared left to right.  Bits at or past
+    n_targets are ignored.  A depth-first search over
     nondecreasing indices finds the same multiset without walking the ones
     before it; see ``_lex_cover``.
     """

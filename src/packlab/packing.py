@@ -58,11 +58,13 @@ class ObstructionReport:
 # bitmask matching engine
 #
 # adm[j] is the bitmask of colours admissible at position j (bit c-1 for
-# colour c); k <= 11 in practice.  Every caller asks only whether a perfect
-# matching exists, so the one kernel ``_perfect`` computes no maximum size:
-# a greedy pass gives each position its lowest free admissible colour, Kuhn's
-# augmenting paths run only from the positions it left over, and the first
-# of those that cannot augment ends the test (Kuhn never matches it later).
+# colour c); k <= 11 in practice.  The one kernel ``_perfect`` computes no
+# maximum size: a greedy pass gives each position its lowest free admissible
+# colour, Kuhn's augmenting paths run only from the positions it left over,
+# and the first of those that cannot augment ends the test (Kuhn never
+# matches it later).  ``has_perfect_matching`` asks only whether it succeeds;
+# ``lex_smallest_system`` turns its matching into the lex-first one, one
+# augmenting path per colour it tries.
 # ---------------------------------------------------------------------------
 
 
@@ -101,8 +103,8 @@ def list_masks(rows, colours) -> list[int]:
     return adm
 
 
-def _perfect(adm: list[int]) -> bool:
-    """True iff every position gets its own colour; colour bits may exceed len(adm)."""
+def _perfect(adm: list[int]) -> dict[int, int] | None:
+    """A perfect matching as {colour bit: position}, or None; colour bits may exceed len(adm)."""
     owner: dict[int, int] = {}  # colour bit -> position
     taken = 0
     left = []
@@ -116,8 +118,8 @@ def _perfect(adm: list[int]) -> bool:
             left.append(j)
     for j in left:
         if not _augment(adm, owner, j, [0]):
-            return False
-    return True
+            return None
+    return owner
 
 
 def _augment(adm: list[int], owner: dict[int, int], j: int, seen: list[int]) -> bool:
@@ -139,38 +141,45 @@ def _augment(adm: list[int], owner: dict[int, int], j: int, seen: list[int]) -> 
 
 
 def has_perfect_matching(adm: list[int]) -> bool:
-    return _perfect(adm)
+    return _perfect(adm) is not None
 
 
 def lex_smallest_system(adm: list[int]) -> Perm | None:
     """Lexicographically smallest perfect assignment position -> colour.
 
     Returns the assignment as a permutation in one-line notation, or None
-    when no perfect matching exists.  Fixes positions left to right, always
-    trying the smallest admissible colour whose removal keeps the rest
-    completable.
+    when no perfect matching exists.  Starting from one perfect matching,
+    positions are fixed left to right.  Position j keeps its colour unless
+    a smaller free admissible colour can be moved to it: an unowned colour
+    (a colour bit past len(adm)) at once, an owned one when its owner has
+    an augmenting path that avoids the fixed colours and the tried one and
+    may end at j's colour, now freed.  Such a path exists iff the later
+    positions can still all be matched, so the smallest success is the
+    lex-first choice.  A failed path leaves the matching as it was.
     """
-    k = len(adm)
-    if not _perfect(adm):
+    owner = _perfect(adm)
+    if owner is None:
         return None
-    chosen: list[int] = []
-    used = 0
-    work = list(adm)
-    for j in range(k):
-        avail = work[j] & ~used
-        placed = False
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            rest = [work[i] & ~(used | bit) for i in range(j + 1, k)]
-            if _perfect(rest):
-                chosen.append(bit.bit_length())
-                used |= bit
-                placed = True
+    colour = [0] * len(adm)
+    for bit, j in owner.items():
+        colour[j] = bit
+    fixed = 0
+    for j, m in enumerate(adm):
+        current = colour[j]
+        tries = m & ~fixed & (current - 1)
+        while tries:
+            bit = tries & -tries
+            tries ^= bit
+            rival = owner.get(bit)
+            del owner[current]
+            if rival is None or _augment(adm, owner, rival, [fixed | bit]):
+                owner[bit] = j
+                for c, i in owner.items():
+                    colour[i] = c
                 break
-        if not placed:  # unreachable once a perfect matching is known to exist
-            return None
-    return tuple(chosen)
+            owner[current] = j
+        fixed |= colour[j]
+    return tuple(c.bit_length() for c in colour)
 
 
 # ---------------------------------------------------------------------------

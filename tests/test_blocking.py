@@ -72,8 +72,11 @@ def plain_greedy_cover(masks, n_targets):
     return picks, trace
 
 
-def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals):
-    """Reference: the replacement scan minimises the uncovered count directly."""
+def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, rounds=None):
+    """Reference: the replacement scan minimises the uncovered count directly.
+
+    Appends to ``rounds``, when given, the replacements of each full round.
+    """
     full = (1 << n_targets) - 1
     nc = len(masks)
     rng = random.Random(seed)
@@ -81,7 +84,7 @@ def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals):
     while True:
         state = [rng.randrange(nc) for _ in range(n_picks)]
         while True:
-            improved = False
+            improved = 0
             for v in range(n_picks):
                 base = 0
                 for w, c in enumerate(state):
@@ -95,11 +98,13 @@ def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals):
                 cnt, best = min(((uncovered & ~m).bit_count(), c) for c, m in enumerate(masks))
                 if cnt < current:
                     state[v] = best
-                    improved = True
+                    improved += 1
+            if rounds is not None:
+                rounds.append(improved)
             covered = 0
             for c in state:
                 covered |= masks[c]
-            if covered == full:
+            if covered & full == full:
                 return state
             if not improved:
                 break
@@ -143,9 +148,12 @@ def test_greedy_cover_matches_full_rescan():
 
 def test_hill_climb_cover_matches_uncovered_count_scan():
     rng = random.Random(0xC11B)
-    found = lost = 0
+    found = lost = wide = 0
     for _ in range(600):
         masks, n_targets = random_mask_family(rng)
+        if rng.random() < 0.3:  # bits past the targets, which both solvers ignore
+            masks = [m | rng.getrandbits(3) << n_targets for m in masks]
+            wide += any(m >> n_targets for m in masks)
         n_picks = rng.randint(1, 4)
         seed = rng.randrange(1 << 30)
         # budgets are rarely a whole number of rounds, so most end mid-round
@@ -156,7 +164,39 @@ def test_hill_climb_cover_matches_uncovered_count_scan():
             lost += 1
         else:
             found += 1
-    assert found > 100 and lost > 100
+    assert found > 100 and lost > 100 and wide > 100
+
+
+def test_hill_climb_cover_matches_uncovered_count_scan_over_several_replacements():
+    # 40 targets, up to 30 masks and 3-8 picks: random starts sit far from a
+    # local minimum, so a round replaces several picks
+    rng = random.Random(0x5EED)
+    rounds = []
+    found = 0
+    for _ in range(150):
+        n_targets = 40
+        masks = [
+            sum(1 << b for b in range(n_targets) if rng.random() < 0.25)
+            for _ in range(rng.randint(10, 30))
+        ]
+        n_picks = rng.randint(3, 8)
+        seed = rng.randrange(1 << 30)
+        max_evals = rng.randint(20, 200) * len(masks)
+        expected = plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, rounds)
+        assert hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, None) == expected
+        found += expected is not None
+    assert found > 30
+    assert sum(r >= 3 for r in rounds) > 300  # rounds with three or more replacements
+
+
+def test_hill_climb_cover_ignores_bits_past_the_targets():
+    assert hill_climb_cover([0b111], 2, 1, 0, 10_000, None) == [0]
+    # without a budget the search used to restart for ever
+    assert hill_climb_cover([0b111], 2, 1, 0, None, 60.0) == [0]
+    assert hill_climb_cover([0b100, 0b101, 0b110], 2, 2, 0, None, 60.0) in ([1, 2], [2, 1])
+    assert hill_climb_cover([0b1100, 0b0111], 2, 1, 0, 10_000, None) == [1]
+    # the fattest-picks cut counts only the targets: one hit cannot cover two
+    assert hill_climb_cover([0b1101], 2, 1, 0, None, 60.0) is None
 
 
 @pytest.mark.parametrize(
@@ -265,6 +305,7 @@ def test_first_multiset_cover_is_lexicographically_first():
     # runs: padding with useless mask 0, then as many copies as can be spared
     assert first_multiset_cover(masks, 3, 7, 0) == (0, 0, 0, 0, 0, 1, 3)
     assert first_multiset_cover([0b01, 0b10], 2, 9, 0) == (0,) * 8 + (1,)
+    assert first_multiset_cover([0b111], 2, 1, 0b100) == (0,)  # bits past the targets ignored
     with pytest.raises(ValueError):
         first_multiset_cover(masks, 3, -1, 0)
 

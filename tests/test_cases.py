@@ -247,6 +247,12 @@ def test_min_cover_size_basics():
     assert min_cover_size([0b01, 0b10], 2, 1) is None  # needs 2 > limit 1
 
 
+def test_min_cover_size_ignores_bits_past_the_targets():
+    assert min_cover_size([0b111], 2, 3) == 1
+    assert min_cover_size([0b101, 0b110], 2, 3) == 2
+    assert min_cover_size([0b100, 0b101], 2, 3) is None  # bit 1 uncoverable
+
+
 def test_packing_thresholds():
     assert list_packing_threshold(2) == 2
     assert list_packing_threshold(3) == 9

@@ -135,17 +135,45 @@ def random_masks(rng, k):
     ]
 
 
+def first_fit(adm):
+    """Each position its lowest colour not taken before it, or None when one has none."""
+    taken = 0
+    chosen = []
+    for m in adm:
+        free = m & ~taken
+        if not free:
+            return None
+        taken |= free & -free
+        chosen.append((free & -free).bit_length())
+    return tuple(chosen)
+
+
 def test_matching_kernel_matches_plain_kuhn():
     rng = random.Random(13)
-    cases = [[], [0], [0, 1], [1, 1], [3, 3, 0]]
+    cases = [[], [0], [0, 1], [1, 1], [3, 3, 0], [0b101, 0b001]]  # the last: (3, 1)
     cases += [random_masks(rng, rng.randint(1, 9)) for _ in range(4000)]
-    perfect = 0
+    perfect = repaired = extra = 0
     for adm in cases:
         expected = reference_matching_size(adm) == len(adm)
         assert has_perfect_matching(adm) == expected, adm
-        assert lex_smallest_system(adm) == reference_lex_smallest_system(adm), adm
+        system = lex_smallest_system(adm)
+        assert system == reference_lex_smallest_system(adm), adm
         perfect += expected
+        if expected:
+            # a first fit that completes is the lex-first system; the others
+            # need augmenting paths, and some take a colour past len(adm)
+            repaired += first_fit(adm) != system
+            extra += max(system, default=0) > len(adm)
     assert 0.2 * len(cases) < perfect < 0.8 * len(cases)  # both answers are exercised
+    assert repaired > 200 and extra > 200
+
+
+@pytest.mark.parametrize("d,k", [(3, 4), (2, 5)])
+def test_common_derangement_matches_brute_force_exhaustively(d, k):
+    perms = list(all_permutations(k))
+    for rows in itertools.product(perms, repeat=d - 1):
+        m = PackingMatrix(k=k, rows=(identity(k),) + rows)
+        assert find_common_derangement(m) == brute_force_extension(m), rows
 
 
 def test_mask_builders_match_references():
