@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 import random
 import time
 from collections.abc import Iterator, Sequence
@@ -311,56 +312,20 @@ def _add_hits(planes: list[int], covers: list[int], targets: int) -> list[int]:
 def min_cover_size(masks: list[int], n_targets: int, limit: int) -> int | None:
     """Minimum number of masks whose union covers all n_targets bits.
 
-    Exact branch and bound: dominated masks are dropped, branching happens
-    on the uncovered bit with the fewest useful covering masks, and a node
-    is cut when even the fattest remaining picks cannot close the deficit.
-    Returns the minimum if it is <= limit, else None (which also covers the
-    case where some bit is covered by no mask at all).  Bits at or past
-    n_targets are ignored.
+    The least p <= limit for which ``first_multiset_cover`` finds p picks,
+    or None (which also covers a bit no mask covers): dropping a repeated
+    index keeps a cover, so that p is the minimum set-cover size.  Masks
+    are cut to the targets and deduplicated; p runs from the targets over
+    the fattest popcount up to the masks or targets, one pick each of
+    which is the most a minimum cover needs.
     """
     full = (1 << n_targets) - 1
-    ordered = sorted({m & full for m in masks}, key=lambda m: -m.bit_count())
-    maximal: list[int] = []
-    for m in ordered:
-        if not any(m | o == o for o in maximal):
-            maximal.append(m)
-    union_all = 0
-    for m in maximal:
-        union_all |= m
-    if union_all != full:
-        return None
-    pop_prefix = [0]
-    for m in maximal:
-        pop_prefix.append(pop_prefix[-1] + m.bit_count())
-    best: int | None = None
-
-    def dfs(acc: int, picks: int) -> None:
-        nonlocal best
-        if acc == full:
-            if best is None or picks < best:
-                best = picks
-            return
-        bound = best - 1 if best is not None else limit
-        left = bound - picks
-        if left <= 0:
-            return
-        uncovered = full & ~acc
-        if uncovered.bit_count() > pop_prefix[min(left, len(maximal))]:
-            return
-        # branch on the first uncovered bit with the fewest useful covers
-        branch = maximal
-        u = uncovered
-        while u and len(branch) > 1:
-            bit = u & -u
-            u ^= bit
-            covers = [m for m in maximal if m & bit]
-            if len(covers) < len(branch):
-                branch = covers
-        for m in sorted(branch, key=lambda m: -(m & uncovered).bit_count()):
-            dfs(acc | m, picks + 1)
-
-    dfs(0, 0)
-    return best
+    masks = list(dict.fromkeys(m & full for m in masks))
+    fattest = max(map(int.bit_count, masks), default=0)
+    for p in range(-(-n_targets // max(fattest, 1)), min(limit, len(masks), n_targets) + 1):
+        if first_multiset_cover(masks, n_targets, p, 0) is not None:
+            return p
+    return None
 
 
 def first_multiset_cover(
@@ -371,9 +336,10 @@ def first_multiset_cover(
 
     The order is that of ``itertools.combinations_with_replacement``:
     nondecreasing index tuples, compared left to right.  Bits at or past
-    n_targets are ignored.  A depth-first search over
-    nondecreasing indices finds the same multiset without walking the ones
-    before it; see ``_lex_cover``.
+    n_targets are ignored.  A depth-first search over nondecreasing
+    indices, cut by hit counts and by coverability, finds the same
+    multiset without walking the ones before it; see ``_lex_cover``.  The
+    least n_picks with a cover is the minimum set-cover size.
     """
     if n_picks < 0:
         raise ValueError("need n_picks >= 0")
@@ -381,7 +347,7 @@ def first_multiset_cover(
 
 
 def _lex_cover(
-    masks: list[int], full: int, acc: int, left: int, start: int
+    masks: list[int], full: int, acc: int, left: int, start: int, reach: list[int] | None = None
 ) -> tuple[int, ...] | None:
     """Lexicographically first nondecreasing tuple of ``left`` indices >= start
     whose masks cover full ∖ acc, or None.
@@ -398,9 +364,13 @@ def _lex_cover(
     one distinct index of the tuple, so its depth is at most
     min(left, len(masks)), whatever the number of picks.
 
-    A branch is cut when the uncovered targets outnumber the picks left
-    times the most hits on them by any mask from i on (the suffix maximum
-    over the masks, one popcount each per node).
+    Two cuts drop only indices no cover opens with, so the order holds.
+    The hit cut: the uncovered targets outnumber the picks left times the
+    most hits on them by any mask from i on.  The coverability cut:
+    ``reach[i]``, built once by the root from its hit sets, is the root's
+    uncovered targets that masks i onward hit; an uncovered target outside
+    reach[i] ends the node, and an index whose leftover lies outside
+    reach[i + 1] is skipped.  Both bounds only fall as i grows.
     """
     uncovered = full & ~acc
     if not uncovered:
@@ -408,23 +378,24 @@ def _lex_cover(
     if not left:
         return None
     need = uncovered.bit_count()
-    hits = [(m & uncovered).bit_count() for m in masks[start:]]
-    most = hits + [0]  # most[j]: the most hits among masks start + j ..
-    for j in range(len(hits) - 1, -1, -1):
-        most[j] = max(most[j], most[j + 1])
-    for j in range(len(hits)):
-        if need > left * most[j]:
-            return None  # nor any later index: the suffix maximum only falls
+    sets = [m & uncovered for m in masks[start:]]
+    # most[j]: the most hits among masks start + j ..; the root folds reach the same way
+    most = [*itertools.accumulate(map(int.bit_count, reversed(sets)), max)][::-1] + [0]
+    if reach is None:
+        reach = [0] * start + [*itertools.accumulate(reversed(sets), operator.or_)][::-1] + [0]
+    for j, hit in enumerate(sets):
         i = start + j
-        rest = acc | masks[i]
-        short = need - hits[j]
-        if not short:
+        if need > left * most[j] or uncovered & ~reach[i]:
+            return None  # nor any later index
+        leaves = uncovered ^ hit
+        if not leaves:
             return (i,) * left
-        if not most[j + 1]:
-            return None  # no mask after i hits what is left
-        widest = min(left - 1, len(masks) - 1 - i, short)
-        for fewest in range(-(-short // most[j + 1]), widest + 1):
-            tail = _lex_cover(masks, full, rest, fewest, i + 1)
+        if leaves & ~reach[i + 1]:
+            continue  # the masks after i miss a target that i leaves
+        short = leaves.bit_count()
+        rest = acc | masks[i]
+        for fewest in range(-(-short // most[j + 1]), min(left - 1, len(masks) - 1 - i, short) + 1):
+            tail = _lex_cover(masks, full, rest, fewest, i + 1, reach)
             if tail is not None:
                 return (i,) * (left - fewest) + tail
     return None

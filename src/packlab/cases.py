@@ -10,7 +10,9 @@ permuted); a list on the V side blocks the matrices admitting no
 permutation of that list deranging all three rows.  The instance is
 unpackable iff the V lists jointly block all 36 candidates, so exact
 list-packing thresholds reduce to minimum set-cover questions over
-blocked-candidate masks, which ``blocking.min_cover_size`` solves exactly.
+blocked-candidate masks.  ``blocking.min_cover_size`` answers them exactly
+as the least pick count for which the lex-first multiset scan finds a
+cover.
 
 The masks take no matching per (candidate, list) pair: a list's mask is the
 union of the targets whose cuts (``_hall_cuts`` for arrangements) it

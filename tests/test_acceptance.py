@@ -104,8 +104,8 @@ def test_report_bytes_pinned():
     structured = json.dumps(report.to_json_dict(), indent=2) + "\n"
     text = "".join(line + "\n" for line in lines)
     assert hashlib.sha256(structured.encode()).hexdigest() == (
-        "806468d053f2a8f77139a062f9e89d205a07540c5a4817ceed0ef945aa8d11f5"
+        "a93c41f18b490a01b2d17f8afff32dbcd8b3ffc2553729676d93d376732e46c2"
     )
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "97950503612d017234e75cdbf31b8147d521267af6103fba386ba6605bae2b78"
+        "3216180cdaacde6a812322135806826dfb4f116bfa82e7827ba449d853b95494"
     )

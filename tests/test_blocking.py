@@ -409,6 +409,17 @@ def test_first_multiset_cover_cuts_branches_the_best_masks_cannot_close():
     assert counted_cover(masks, 27, 4, masks[0])[1] < 5000
 
 
+def test_first_multiset_cover_stops_at_a_target_no_later_mask_hits():
+    # target 0 is hit by masks 0 and 1 only; each fat mask hits 7 of targets 1..12
+    fat = [sum(1 << 1 + (c + s) % 12 for s in range(7)) for c in range(10)]
+    masks = [0b1, 0b1] + fat
+    # one pass of hits, then one OR each for indices 0 and 1, whose leftovers
+    # need two more picks; index 2 onward leaves target 0 out of reach
+    assert counted_cover(masks, 13, 2, 0) == (None, 14)
+    assert first_multiset_cover(masks, 13, 3, 0) == (0, 2, 7)
+    assert plain_first_multiset_cover(masks, 13, 3, 0) == (0, 2, 7)
+
+
 def test_hill_climb_cover_finds_a_cover_or_exhausts_its_budget():
     masks = [0b0011, 0b0110, 0b1100, 0b1000, 0b0001]
     picks = hill_climb_cover(masks, 4, 2, seed=0, max_evals=10_000, max_seconds=None)

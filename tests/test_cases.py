@@ -253,6 +253,91 @@ def test_min_cover_size_ignores_bits_past_the_targets():
     assert min_cover_size([0b100, 0b101], 2, 3) is None  # bit 1 uncoverable
 
 
+def reference_min_cover_size(masks, n_targets, limit):
+    """Oracle: minimum number of masks covering all n_targets bits if it is
+    <= limit, else None, by an exact branch and bound of its own.
+
+    Dominated masks are dropped, branching happens on the uncovered bit
+    with the fewest covering masks, and a node is cut when even the
+    fattest remaining picks cannot close the deficit.
+    """
+    full = (1 << n_targets) - 1
+    ordered = sorted({m & full for m in masks}, key=lambda m: -m.bit_count())
+    maximal = []
+    for m in ordered:
+        if not any(m | o == o for o in maximal):
+            maximal.append(m)
+    union_all = 0
+    for m in maximal:
+        union_all |= m
+    if union_all != full:
+        return None
+    pop_prefix = [0]
+    for m in maximal:
+        pop_prefix.append(pop_prefix[-1] + m.bit_count())
+    best = None
+
+    def dfs(acc, picks):
+        nonlocal best
+        if acc == full:
+            if best is None or picks < best:
+                best = picks
+            return
+        bound = best - 1 if best is not None else limit
+        left = bound - picks
+        if left <= 0:
+            return
+        uncovered = full & ~acc
+        if uncovered.bit_count() > pop_prefix[min(left, len(maximal))]:
+            return
+        branch = maximal
+        u = uncovered
+        while u and len(branch) > 1:
+            bit = u & -u
+            u ^= bit
+            covers = [m for m in maximal if m & bit]
+            if len(covers) < len(branch):
+                branch = covers
+        for m in sorted(branch, key=lambda m: -(m & uncovered).bit_count()):
+            dfs(acc | m, picks + 1)
+
+    dfs(0, 0)
+    return best
+
+
+def test_min_cover_size_matches_reference_on_random_families():
+    rng = random.Random(20231)
+    seen = set()
+    for _ in range(3000):
+        n_targets = rng.randint(1, 10)
+        dense = rng.random() < 0.5
+        # two bits past the targets; empty and repeated masks
+        pool = [0] + [
+            rng.getrandbits(n_targets + 2) & (-1 if dense else rng.getrandbits(n_targets + 2))
+            for _ in range(n_targets)
+        ]
+        masks = [rng.choice(pool) for _ in range(rng.randint(0, 2 * n_targets))]
+        least = reference_min_cover_size(masks, n_targets, n_targets)
+        for limit in {0, 1, n_targets} | ({least - 1, least, least + 1} if least else set()):
+            expected = reference_min_cover_size(masks, n_targets, limit)
+            assert min_cover_size(masks, n_targets, limit) == expected, (masks, n_targets, limit)
+            seen.add(expected is None)
+    assert seen == {True, False}
+    assert min_cover_size([], 0, 0) == reference_min_cover_size([], 0, 0) == 0
+
+
+def test_min_cover_size_matches_reference_on_every_small_triple_type():
+    for k in (1, 2, 3):
+        for triple in enumerate_triple_types(k, allow_repeats=True):
+            for block_masks in (packing_block_masks, colouring_block_masks):
+                targets, by_list = block_masks(triple)
+                masks = list(by_list.values())
+                least = reference_min_cover_size(masks, len(targets), len(targets))
+                for limit in {len(targets)} | ({least - 1, least} if least else set()):
+                    expected = reference_min_cover_size(masks, len(targets), limit)
+                    assert min_cover_size(masks, len(targets), limit) == expected, triple
+
+
 def test_packing_thresholds():
     assert list_packing_threshold(2) == 2
     assert list_packing_threshold(3) == 9
