@@ -315,17 +315,28 @@ def min_cover_size(masks: list[int], n_targets: int, limit: int) -> int | None:
     The least p <= limit for which ``first_multiset_cover`` finds p picks,
     or None (which also covers a bit no mask covers): dropping a repeated
     index keeps a cover, so that p is the minimum set-cover size.  Masks
-    are cut to the targets and deduplicated; p runs from the targets over
-    the fattest popcount up to the masks or targets, one pick each of
-    which is the most a minimum cover needs.
+    are cut to the targets, deduplicated, and dropped when another mask
+    contains them (a minimum cover can swap such a mask for its superset).
+    p runs down from the cap, the least of limit, masks and targets (one
+    pick of each is the most a minimum cover needs): a cover found at p
+    has some number q <= p of distinct indices, so the search goes on at
+    q - 1 and ends on the first p with no cover, or below the targets over
+    the fattest popcount.
     """
     full = (1 << n_targets) - 1
     masks = list(dict.fromkeys(m & full for m in masks))
+    masks = [m for m in masks if not any(m != o and not m & ~o for o in masks)]
     fattest = max(map(int.bit_count, masks), default=0)
-    for p in range(-(-n_targets // max(fattest, 1)), min(limit, len(masks), n_targets) + 1):
-        if first_multiset_cover(masks, n_targets, p, 0) is not None:
-            return p
-    return None
+    least = -(-n_targets // max(fattest, 1))
+    best = None
+    p = min(limit, len(masks), n_targets)
+    while p >= least:
+        cover = first_multiset_cover(masks, n_targets, p, 0)
+        if cover is None:
+            break
+        best = len(set(cover))
+        p = best - 1
+    return best
 
 
 def first_multiset_cover(

@@ -110,18 +110,18 @@ def _count_block(k: int, fixed: tuple[Perm, ...], depth: int, memo: dict) -> int
 
     `memo` is the ``latin._count_rows`` memo.  Its keys name states only up
     to positions and colours, never the block, so the blocks of one count
-    may share it.
+    may share it.  A full matrix scores 1 iff its admissible masks have no
+    perfect matching.
     """
-    full = (1 << k) - 1
     cols = [0] * k
     for row in fixed:
         for j, c in enumerate(row):
             cols[j] |= 1 << (c - 1)
 
-    def unextendable(state: list[int]) -> int:
-        return 0 if has_perfect_matching([full & ~used for used in state]) else 1
+    def unextendable(adm: list[int]) -> int:
+        return 0 if has_perfect_matching(adm) else 1
 
-    return _count_rows(k, cols, depth, unextendable, memo, avoid=False)
+    return _count_rows(k, cols, depth, unextendable, memo)
 
 
 def forbidden_count_brute(
@@ -142,9 +142,10 @@ def forbidden_count_brute(
     ``latin._count_rows``, whose memo keys a partial matrix by its column
     masks up to position order and one colour relabeling (relabeling
     positions alone, or colours alone, also preserves unextendability); the
-    blocks of one count share that memo, and the full matrices are still
-    judged one by one.  The reductions and the memo are exact and are
-    cross-checked against a plain enumeration in the tests.  Every count
+    blocks of one count share that memo.  The last free row runs through
+    the k! rows in one flat pass, and each full matrix it reaches is still
+    judged by its own matching call.  The reductions and the memo are exact
+    and are cross-checked against a plain enumeration in the tests.  Every count
     runs in one process; ``workers`` is never read and stays only because
     the benchmark harness passes it.
     """

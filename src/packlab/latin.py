@@ -4,7 +4,8 @@ The number of Latin squares of order n is denoted N(n) throughout the
 package; it enters the closed-form counts of unextendable packing matrices.
 Orders up to the enumeration limit are counted by a row-by-row
 enumeration memoized on the per-column used-value masks up to position
-order and one colour relabeling (``_count_rows``); orders 7..11 are
+order and one colour relabeling (``_count_rows``), whose last two rows
+are counted from sets of the n! rows (``_row_sets``); orders 7..11 are
 served from stored constants taken from the published enumeration of
 B. D. McKay and I. M. Wanless, "On the number of Latin squares", Ann. Comb.
 9 (2005) 335-344.  The stored values for small orders are re-derived by
@@ -15,11 +16,13 @@ matrices in ``counting``.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
 
-#: exhaustive enumeration is used up to this order (n=6 takes ~0.1 s)
+#: exhaustive enumeration is used up to this order (n=6 takes ~0.06 s)
 DEFAULT_ENUMERATION_LIMIT = 6
 
 #: N(n) for 1 <= n <= 11 (McKay-Wanless 2005 for n >= 7)
@@ -137,23 +140,95 @@ def _relabeled(k: int, cols: list[int]) -> tuple[int, ...] | None:
     return tuple(sorted(image))
 
 
-def _count_rows(k: int, cols: list[int], depth: int, leaf, memo: dict, avoid: bool) -> int:
-    """Sum of leaf(full state) over the ways to append `depth` rows to `cols`.
+@functools.cache
+def _row_sets(k: int) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """(rows, hits, meet) over the k! rows of [k] in ``itertools.permutations`` order.
+
+    rows[i] is row i as colour bits by position.  A set of rows is a
+    k!-bit int with bit i for row i: hits[j][m] is the set of rows whose
+    colour at position j lies in the colour mask m, and meet[i] the set of
+    rows that agree with row i in some position, row i included.  Kept per
+    k for the process; only Latin counts ask, and they admit
+    k <= DEFAULT_ENUMERATION_LIMIT, so at most 6 * 64 + 720 sets of 720 bits.
+    """
+    rows = list(itertools.permutations([1 << c for c in range(k)]))
+    hits = [[0] * (1 << k) for _ in range(k)]
+    for i, row in enumerate(rows):
+        for j, bit in enumerate(row):
+            hits[j][bit] |= 1 << i
+    for by_mask in hits:
+        for m in range(1, 1 << k):
+            low = m & -m
+            by_mask[m] = by_mask[m ^ low] | by_mask[low]
+    meet = tuple(
+        functools.reduce(operator.or_, (hits[j][bit] for j, bit in enumerate(row)))
+        for row in rows
+    )
+    return tuple(rows), tuple(map(tuple, hits)), meet
+
+
+def _members(rows: int):
+    """The indices of the rows in the row set `rows`, in increasing order."""
+    while rows:
+        low = rows & -rows
+        rows ^= low
+        yield low.bit_length() - 1
+
+
+def _latin_count(k: int, cols: list[int], depth: int, memo: dict) -> int:
+    """``_count_rows`` of a Latin state: its next rows are those outside its clash set."""
+    table, hits, meet = _row_sets(k)
+    clash = 0
+    for j, m in enumerate(cols):
+        clash |= hits[j][m]
+    free = ((1 << len(table)) - 1) & ~clash
+    if depth == 1:
+        return free.bit_count()
+    if depth == 2:
+        return sum((free & ~meet[i]).bit_count() for i in _members(free))
+    return _append_each(k, cols, depth, None, memo, (table[i] for i in _members(free)))
+
+
+def _append_each(k: int, cols: list[int], depth: int, leaf, memo: dict, rows) -> int:
+    """Sum of ``_count_rows`` at depth - 1 over `rows` appended to `cols` in turn.
+
+    A row is given as its colour bits by position.
+    """
+    state = cols[:]
+    total = 0
+    for row in rows:
+        cols[:] = map(operator.or_, state, row)
+        total += _count_rows(k, cols, depth - 1, leaf, memo)
+    cols[:] = state
+    return total
+
+
+def _count_rows(k: int, cols: list[int], depth: int, leaf, memo: dict) -> int:
+    """Sum over the ways to append `depth` rows to `cols` of the full state's score.
 
     Each row is a permutation of [k]; cols[j] is the bitmask of the values
     used so far in column j and is updated in place (and restored) as rows
-    are appended.  With `avoid` a row may not reuse a value in its column
-    (Latin rows); otherwise rows are free.  Permuting the positions and
+    are appended.  With `leaf` None a row may not reuse a value in its
+    column (Latin rows) and every full state scores 1; otherwise rows are
+    free and a full state scores leaf(its admissible masks), mask j holding
+    the colours column j does not use.  Permuting the positions and
     relabeling the colours of a state map its completions one to one onto
     those of its image, and every leaf used here is invariant under both.
     So a state at depth >= 1 is memoized in `memo` on (depth, sorted masks)
     and, unless ``_relabeled`` finds the identity, on (depth, sorted masks
     of its relabeled image); either key found answers the state, and a
-    count is stored under both.  Full states (depth 0) are scored without
-    the memo.
+    count is stored under both.
+
+    Rows are drawn whole from the k! rows.  A Latin state's next rows are
+    the rows outside its clash set, the union of the row sets
+    hits[j][cols[j]] (``_row_sets``); its last two rows are counted from
+    that set alone: one row can be any of them, and a second row after row
+    i must also miss meet[i].  The last free row is one flat, lazy pass
+    over ``itertools.permutations`` that scores every full state on its own.
     """
+    full = (1 << k) - 1
     if depth == 0:
-        return leaf(cols)
+        return 1 if leaf is None else leaf([full & ~m for m in cols])
     key = (depth, tuple(sorted(cols)))
     total = memo.get(key)
     if total is not None:
@@ -165,26 +240,16 @@ def _count_rows(k: int, cols: list[int], depth: int, leaf, memo: dict, avoid: bo
         if total is not None:
             memo[key] = total
             return total
-    full = (1 << k) - 1
-    total = 0
-
-    def fill(cell: int, row_used: int) -> None:
-        nonlocal total
-        if cell == k:
-            total += _count_rows(k, cols, depth - 1, leaf, memo, avoid)
-            return
-        avail = full & ~row_used
-        if avoid:
-            avail &= ~cols[cell]
-        used = cols[cell]
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            cols[cell] = used | bit
-            fill(cell + 1, row_used | bit)
-        cols[cell] = used
-
-    fill(0, 0)
+    if leaf is None:
+        total = _latin_count(k, cols, depth, memo)
+    elif depth == 1:
+        unused = [full & ~m for m in cols]
+        others = [full ^ (1 << c) for c in range(k)]
+        rows = itertools.permutations(others)
+        total = sum(leaf(list(map(operator.and_, unused, row))) for row in rows)
+    else:
+        rows = itertools.permutations([1 << c for c in range(k)])
+        total = _append_each(k, cols, depth, leaf, memo, rows)
     memo[key] = total
     if alias is not None:
         memo[alias] = total
@@ -204,7 +269,7 @@ def count_latin_rectangles(r: int, n: int) -> int:
         raise ResourceLimitError(
             f"rectangle enumeration supported for n <= {DEFAULT_ENUMERATION_LIMIT}, got n={n}"
         )
-    return _count_rows(n, [0] * n, r, lambda cols: 1, {}, avoid=True)
+    return _count_rows(n, [0] * n, r, None, {})
 
 
 def count_latin_squares(n: int) -> int:

@@ -9,6 +9,7 @@ from packlab.latin import (
     LATIN_SQUARE_COUNTS,
     REDUCED_LATIN_SQUARE_COUNTS,
     _count_rows,
+    _row_sets,
     count_latin_rectangles,
     count_latin_squares,
     is_latin,
@@ -113,40 +114,42 @@ def test_order_six_by_enumeration():
     assert count_latin_squares(6) == 812851200
 
 
+def test_rectangle_counts_of_order_six():
+    want = [720, 190800, 15321600, 283046400, 812851200, 812851200]
+    assert [count_latin_rectangles(r, 6) for r in range(1, 7)] == want
+
+
 # ---------------------------------------------------------------------------
 # the row memo of _count_rows: keys under position and colour symmetry
 # ---------------------------------------------------------------------------
 
 
-def _latin_leaf(state):
-    return 1
-
-
 def _unextendable_leaf(k):
-    full = (1 << k) - 1
-    return lambda state: 0 if has_perfect_matching([full & ~used for used in state]) else 1
+    return lambda adm: 0 if has_perfect_matching(adm) else 1
 
 
 def _leaves(k):
-    """(leaf, avoid) as count_latin_rectangles and forbidden_count_brute use them."""
-    return ((_latin_leaf, True), (_unextendable_leaf(k), False))
+    """The leaves count_latin_rectangles (None: Latin rows) and forbidden_count_brute use."""
+    return (None, _unextendable_leaf(k))
 
 
 def _relabel(mask: int, sigma) -> int:
     return sum(1 << sigma[c] for c in range(len(sigma)) if mask >> c & 1)
 
 
-def _plain_count_rows(k, cols, depth, leaf, avoid) -> int:
+def _plain_count_rows(k, cols, depth, leaf) -> int:
     """_count_rows by visiting every tuple of `depth` rows, with no memo."""
+    full = (1 << k) - 1
     total = 0
     for rows in itertools.product(itertools.permutations(range(k)), repeat=depth):
         state = list(cols)
         allowed = True
         for row in rows:
             for j, c in enumerate(row):
-                allowed = allowed and not (avoid and state[j] >> c & 1)
+                allowed = allowed and not (leaf is None and state[j] >> c & 1)
                 state[j] |= 1 << c
-        total += leaf(state) if allowed else 0
+        if allowed:
+            total += 1 if leaf is None else leaf([full & ~used for used in state])
     return total
 
 
@@ -161,13 +164,13 @@ def test_count_rows_invariant_under_relabeling_and_position_permutation(k, depth
         sigma = rng.sample(range(k), k)
         pi = rng.sample(range(k), k)
         image = [_relabel(cols[pi[j]], sigma) for j in range(k)]
-        for leaf, avoid in _leaves(k):
-            want = _plain_count_rows(k, cols, depth, leaf, avoid)
+        for leaf in _leaves(k):
+            want = _plain_count_rows(k, cols, depth, leaf)
             memo: dict = {}
-            assert _count_rows(k, list(cols), depth, leaf, memo, avoid) == want
+            assert _count_rows(k, list(cols), depth, leaf, memo) == want
             # the shared memo may answer the image from keys the state stored
-            assert _count_rows(k, list(image), depth, leaf, memo, avoid) == want
-            assert _count_rows(k, list(image), depth, leaf, {}, avoid) == want
+            assert _count_rows(k, list(image), depth, leaf, memo) == want
+            assert _count_rows(k, list(image), depth, leaf, {}) == want
 
 
 class _ImageCheckingMemo(dict):
@@ -198,10 +201,50 @@ def test_count_rows_keys_are_sorted_relabeled_images(k, depth):
     relabeled = 0
     for _ in range(6):
         cols = [rng.getrandbits(k) for _ in range(k)]
-        for leaf, avoid in _leaves(k):
+        for leaf in _leaves(k):
             memo = _ImageCheckingMemo(k, cols)
-            assert _count_rows(k, cols, depth, leaf, memo, avoid) == _plain_count_rows(
-                k, cols, depth, leaf, avoid
-            )
+            want = _plain_count_rows(k, cols, depth, leaf)
+            assert _count_rows(k, cols, depth, leaf, memo) == want
             relabeled += memo.relabeled
     assert relabeled > 0  # the relabeled keys were exercised, not only the plain ones
+
+
+def _discordant(p, q) -> bool:
+    return all(a != b for a, b in zip(p, q))
+
+
+def _random_latin_rectangle(rng, r, k):
+    """r rows of a random k x k Latin rectangle: each row is drawn from those
+    that differ from every earlier row in every position (r < k rows always
+    extend, so the draw never runs dry)."""
+    rect = []
+    perms = list(itertools.permutations(range(k)))
+    for _ in range(r):
+        rect.append(rng.choice([p for p in perms if all(_discordant(p, q) for q in rect)]))
+    return rect
+
+
+@pytest.mark.parametrize("k,depth", [(4, 1), (4, 2), (5, 1), (5, 2)])
+def test_latin_tails_on_latin_rectangle_states(k, depth):
+    rng = random.Random(100 * k + depth)
+    for r in range(k - depth + 1):
+        for _ in range(4 if k == 4 or depth == 1 else 2):
+            cols = [0] * k
+            for row in _random_latin_rectangle(rng, r, k):
+                for j, c in enumerate(row):
+                    cols[j] |= 1 << c
+            want = _plain_count_rows(k, cols, depth, None)
+            assert want > 0  # a Latin rectangle always extends
+            assert _count_rows(k, list(cols), depth, None, {}) == want
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_row_sets_match_their_definitions(k):
+    rows, hits, meet = _row_sets(k)
+    perms = list(itertools.permutations(range(k)))
+    assert list(rows) == [tuple(1 << c for c in p) for p in perms]
+    for j in range(k):
+        for m in range(1 << k):
+            assert hits[j][m] == sum(1 << i for i, p in enumerate(perms) if m >> p[j] & 1)
+    for i, p in enumerate(perms):
+        assert meet[i] == sum(1 << h for h, q in enumerate(perms) if not _discordant(p, q))
