@@ -17,7 +17,8 @@ y(d) = ((2d-2)!)^d / w_even(d).  A cover construction that greedily kills a
 1/x fraction of surviving partial packings per added vertex terminates
 within the floored iteration X_s = X_{s-1} - ceil(X_{s-1} w / X_0); the
 closed-form estimates bounding that step count are also provided, with
-certified integer ceilings via interval arithmetic.
+integer ceilings certified by directed rounding in the standard library's
+``decimal``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 from .errors import WORK_LIMIT, ResourceLimitError, candidate_count, capped_product, check_work
@@ -198,8 +200,6 @@ def iteration_bound(X0: int, w: int) -> int:
     throughout.  The step count roughly equals x log X0; threshold_table
     only asks for it below DEFAULT_ITERATION_CAP.
     """
-    if w <= 0:
-        raise ValueError("w must be positive")
     if not 0 < w <= X0:
         raise ValueError(f"need 0 < w <= X0, got w={w}, X0={X0}")
     X = X0
@@ -210,51 +210,53 @@ def iteration_bound(X0: int, w: int) -> int:
     return steps
 
 
-def _certified_ceil(build_expr, start_dps: int = 40, max_dps: int = 4000) -> int:
-    """Integer ceiling of a real expression, certified by interval arithmetic.
+#: the highest working precision, in decimal digits, of _certified_ceil
+_MAX_PREC = 1000
 
-    ``build_expr(iv)`` must evaluate the expression in the given mpmath
-    interval context.  The ceilings of the two interval endpoints are taken
-    exactly (the endpoints are dyadic rationals); precision is raised until
-    they agree, so the returned integer is provably correct.
+
+def _certified_ceil(X0: int, w: int, literal: bool) -> int:
+    """Integer ceiling of an estimate with x = X0/w, certified by directed rounding.
+
+    With X0/x = w, the first-order form is x (ln w + 1) and the literal form
+    is ln w / ln(X0/(X0 - w)) + x; every term is positive.  The lower bound
+    rounds each operation down and each divisor up; the upper bound does
+    the reverse.  ``Decimal.ln`` is correctly rounded, so an inexact
+    logarithm lies strictly between the neighbours of its result, and is
+    widened to the one on the bound's side; its only exact (and only zero)
+    result is ln 1 = 0, used as is.  A decimal's ceiling is exact, so once
+    both bounds have the same ceiling, it is the estimate's.  The precision
+    doubles from 40 digits (the d = 11 table needs 320) while it stays
+    within _MAX_PREC, then ResourceLimitError.  An estimate that is an
+    exact integer, such as the literal form's 3 at (4, 2), is always
+    refused.  Only local contexts are used; the thread's decimal context is
+    never read or changed.
     """
-    import mpmath
-    from mpmath.libmp import round_ceiling, to_int
+    if not 0 < w < X0:
+        raise ValueError(f"estimates need 0 < w < X0, got w={w}, X0={X0}")
 
-    dps = start_dps
-    while dps <= max_dps:
-        ctx = mpmath.iv
-        old = ctx.dps
-        try:
-            ctx.dps = dps
-            val = build_expr(ctx)
-        finally:
-            ctx.dps = old
-        lo_raw, hi_raw = val._mpi_
-        try:
-            clo = to_int(lo_raw, round_ceiling)
-            chi = to_int(hi_raw, round_ceiling)
-        except (ValueError, OverflowError):
-            clo, chi = 0, 1  # an endpoint overflowed to inf: precision too low
-        if clo == chi:
-            return int(clo)
-        dps *= 2
+    def ln(c: Context, a) -> Decimal:
+        r = c.ln(a)
+        if r == 0:
+            return r
+        return c.next_minus(r) if c.rounding == ROUND_FLOOR else c.next_plus(r)
+
+    def bound(ctx: Context, rev: Context) -> Decimal | None:
+        x = ctx.divide(X0, w)
+        if not literal:
+            return ctx.multiply(x, ctx.add(ln(ctx, w), 1))
+        divisor = ln(rev, rev.divide(X0, X0 - w))
+        if divisor == 0:  # X0/(X0 - w) rounded down to 1: too few digits
+            return None
+        return ctx.add(ctx.divide(ln(ctx, w), divisor), x)
+
+    prec = 40
+    while prec <= _MAX_PREC:
+        down, up = Context(prec, ROUND_FLOOR), Context(prec, ROUND_CEILING)
+        lo, hi = bound(down, up), bound(up, down)
+        if hi is not None and math.ceil(lo) == math.ceil(hi):
+            return math.ceil(hi)
+        prec *= 2
     raise ResourceLimitError("could not certify the ceiling at reasonable precision")
-
-
-def _certified_estimate(X0: int, w: int, formula) -> int:
-    """Certified ceiling of ``formula(ctx, x, X0)`` with x = X0/w as an interval.
-
-    Both estimates need x > 1 (ValueError otherwise).
-    """
-    x = Fraction(X0, w)
-    if x <= 1:
-        raise ValueError("estimate requires x = X0/w > 1")
-
-    def expr(ctx):
-        return formula(ctx, ctx.mpf(x.numerator) / ctx.mpf(x.denominator), ctx.mpf(X0))
-
-    return _certified_ceil(expr)
 
 
 def estimate_bound(X0: int, w: int) -> int:
@@ -262,9 +264,10 @@ def estimate_bound(X0: int, w: int) -> int:
 
     An upper estimate for the floored iteration: after that many rounds of
     removing at least a 1/x fraction (at least one item per round once few
-    remain), nothing survives.  Always >= iteration_bound(X0, w).
+    remain), nothing survives.  Always >= iteration_bound(X0, w).  Needs
+    0 < w < X0 (ValueError otherwise).
     """
-    return _certified_estimate(X0, w, lambda ctx, x, n: ctx.log(x / n) / ctx.log(1 - 1 / x) + x)
+    return _certified_ceil(X0, w, literal=True)
 
 
 def estimate_bound_first_order(X0: int, w: int) -> int:
@@ -272,46 +275,33 @@ def estimate_bound_first_order(X0: int, w: int) -> int:
 
     Replaces log(1 - 1/x) by -1/x in estimate_bound; this is the variant
     whose values the reproduction report compares against the reference
-    table.
+    table.  Needs 0 < w < X0 (ValueError otherwise).
     """
-    return _certified_estimate(X0, w, lambda ctx, x, n: x * ctx.log(n / x) + x)
+    return _certified_ceil(X0, w, literal=False)
 
 
 # ---------------------------------------------------------------------------
-# scientific notation with directed rounding (exact integer arithmetic)
+# scientific notation with directed rounding (exact decimal division)
 # ---------------------------------------------------------------------------
+
+_SCI3_ROUNDING = {"down": ROUND_FLOOR, "up": ROUND_CEILING, "nearest": ROUND_HALF_UP}
 
 
 def sci3(value: int | Fraction, direction: str = "nearest") -> str:
     """3-significant-digit scientific form of a positive exact number.
 
-    direction: 'nearest', 'down' (safe for lower bounds) or 'up' (safe for
-    upper bounds).  Computed exactly; no floating point.
+    direction: 'nearest' (halves round up), 'down' (safe for lower bounds)
+    or 'up' (safe for upper bounds).  One decimal division of the exact
+    numerator by the exact denominator, correctly rounded to 3 digits in
+    that direction; no floating point.
     """
     fr = Fraction(value)
     if fr <= 0:
         raise ValueError("positive values only")
-    exp = 0
-    while fr >= 10:
-        fr /= 10
-        exp += 1
-    while fr < 1:
-        fr *= 10
-        exp -= 1
-    scaled = fr * 100  # in [100, 1000)
-    floor_m = int(scaled)
-    if direction == "down":
-        mant = floor_m
-    elif direction == "up":
-        mant = floor_m if scaled == floor_m else floor_m + 1
-    elif direction == "nearest":
-        mant = int(scaled + Fraction(1, 2))
-    else:
+    if direction not in _SCI3_ROUNDING:
         raise ValueError(f"unknown direction {direction!r}")
-    if mant == 1000:
-        mant = 100
-        exp += 1
-    return f"{mant // 100}.{mant % 100:02d}e{exp}"
+    mant = Context(3, _SCI3_ROUNDING[direction]).divide(fr.numerator, fr.denominator)
+    return f"{mant:.2e}".replace("e+", "e")
 
 
 # ---------------------------------------------------------------------------

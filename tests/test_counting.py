@@ -2,8 +2,10 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -231,17 +233,62 @@ def test_estimates_dominate_iteration():
         assert estimate_bound_first_order(X0, w) >= it
 
 
-def test_certified_ceilings_match_high_precision_evaluation():
+def _mpmath_ceilings(X0, w):
+    """(literal, first-order) ceilings from a plain 300-digit mpmath evaluation."""
     import mpmath
 
-    for d in (5, 7, 9, 11):
-        X0 = math.factorial(2 * d - 2) ** d
-        w = w_even(d)
-        certified = estimate_bound_first_order(X0, w)
-        with mpmath.workdps(300):
-            x = mpmath.mpf(X0) / mpmath.mpf(w)
-            direct = int(mpmath.ceil(x * mpmath.log(mpmath.mpf(X0) / x) + x))
-        assert certified == direct
+    with mpmath.workdps(300):
+        n = mpmath.mpf(X0)
+        x = n / w
+        literal = mpmath.log(x / n) / mpmath.log(1 - 1 / x) + x
+        first_order = x * mpmath.log(n / x) + x
+        return int(mpmath.ceil(literal)), int(mpmath.ceil(first_order))
+
+
+def test_certified_ceilings_match_high_precision_evaluation():
+    rows = threshold_table(2, 11)
+    assert len(rows) == 19
+    for row in rows:
+        got = (row.estimate_bound, row.estimate_bound_first_order)
+        assert got == _mpmath_ceilings(row.X0, row.w), (row.d, row.flavour)
+
+
+def test_certified_ceilings_match_mpmath_on_random_pairs():
+    rng = random.Random(27)
+    for _ in range(150):
+        digits = rng.randint(1, 80)
+        X0 = rng.randint(2, 10**digits)
+        # half of the pairs keep w small, so x = X0/w reaches 80 digits
+        w_max = X0 - 1 if rng.random() < 0.5 else min(X0 - 1, 10 ** rng.randint(0, 3))
+        w = rng.randint(1, w_max)
+        got = (estimate_bound(X0, w), estimate_bound_first_order(X0, w))
+        assert got == _mpmath_ceilings(X0, w), (X0, w)
+
+
+def test_certified_ceilings_on_the_small_grid():
+    # in this grid the literal form is an exact integer, log_2(w) + 2, only at these four pairs
+    refused = {(4, 2), (8, 4), (16, 8), (32, 16)}
+    for X0 in range(2, 41):
+        assert estimate_bound_first_order(X0, 1) == X0
+        for w in range(1, X0):
+            literal, first_order = _mpmath_ceilings(X0, w)
+            assert estimate_bound_first_order(X0, w) == first_order, (X0, w)
+            if (X0, w) in refused:
+                continue
+            assert estimate_bound(X0, w) == literal, (X0, w)
+    for X0, w in sorted(refused):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            estimate_bound(X0, w)
+        assert time.perf_counter() - start < 1.0  # refused at the precision cap, not after seconds
+
+
+@pytest.mark.parametrize("X0, w", [(10, 0), (-10, -2), (10, 10), (10, 20)])
+def test_estimates_need_w_between_zero_and_X0(X0, w):
+    with pytest.raises(ValueError):
+        estimate_bound(X0, w)
+    with pytest.raises(ValueError):
+        estimate_bound_first_order(X0, w)
 
 
 def test_sci3_directions():
@@ -252,6 +299,56 @@ def test_sci3_directions():
     assert sci3(Fraction(9995, 10), "up") == "1.00e3"
     with pytest.raises(ValueError):
         sci3(0)
+
+
+def _sci3_value(text):
+    """(mantissa, exponent, exact value) of a sci3 string."""
+    match = re.fullmatch(r"([1-9])\.(\d\d)e(-?\d+)", text)
+    assert match, text
+    mant, exp = int(match[1] + match[2]), int(match[3])
+    return mant, exp, Fraction(mant, 100) * Fraction(10) ** exp
+
+
+def test_sci3_brackets_and_rounds_against_exact_fractions():
+    rng = random.Random(3)
+    values = []
+    for _ in range(2000):
+        num, den = rng.randint(1, 10 ** rng.randint(1, 30)), rng.randint(1, 10 ** rng.randint(0, 30))
+        values.append(Fraction(num, den))
+        # an exact half of the third digit, which 'nearest' rounds up
+        half = Fraction(2 * rng.randint(100, 999) + 1, 200)
+        values.append(half * Fraction(10) ** rng.randint(-20, 20))
+    for value in values:
+        mant, exp, down = _sci3_value(sci3(value, "down"))
+        assert 100 <= mant <= 999
+        unit = Fraction(10) ** (exp - 2)  # one unit of the value's third digit
+        assert down <= value < down + unit
+        mant, _, up = _sci3_value(sci3(value, "up"))
+        assert 100 <= mant <= 999
+        assert value <= up < value + unit
+        mant, _, nearest = _sci3_value(sci3(value, "nearest"))
+        assert 100 <= mant <= 999
+        assert abs(nearest - value) <= unit / 2
+        if abs(nearest - value) == unit / 2:
+            assert nearest > value
+
+
+def test_thresholds_and_reproduction_leave_mpmath_and_the_decimal_context_alone():
+    script = (
+        "import decimal, sys\n"
+        "ctx = decimal.getcontext()\n"
+        "before = repr(ctx)\n"
+        "from packlab.counting import threshold_table\n"
+        "from packlab.reproduction import run_reproduction\n"
+        "threshold_table(3, 11)\n"
+        "assert run_reproduction(emit=None).ok\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "assert decimal.getcontext() is ctx and repr(ctx) == before, repr(ctx)\n"
+    )
+    src = os.path.dirname(os.path.dirname(packlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_threshold_table_structure():
