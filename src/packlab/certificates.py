@@ -5,12 +5,17 @@ list-assignment), a claim about it, an optional witness, and provenance
 metadata.  Witness claims are verified by direct positionwise checking;
 exhaustive claims (no_k_packing, no_k_colouring) are verified by re-running
 the full candidate scan with code deliberately separate from the search
-module.  The verifier shares only ``perms`` and ``packing``: from the
-latter, the mask builders (``transported_masks``, ``list_masks``),
-``has_perfect_matching`` and ``lex_smallest_system``.  Its witness checks
-and its colouring scan are its own; from ``covers`` it takes only the
-instance types and their JSON parsing, from ``errors`` the work check and
-the deciders' step counts, so it admits every claim a decider could make.
+module.  Each check is one loop over one two-sided view of the instance
+(``_sides``): the colour set of every vertex and the colour of v_j that
+each colour of u_i meets, through the edge's matching in a cover and as
+itself in a list instance; the kind is read again only where a witness
+format or a rejection message differs.  The verifier shares only
+``perms`` and ``packing``: from the latter, the mask builders
+(``transported_masks``, ``list_masks``), ``has_perfect_matching`` and
+``lex_smallest_system``; its witness checks and colouring scan are its
+own.  From ``covers`` it takes only the instance types and their JSON
+parsing, from ``errors`` the work check and the deciders' step counts, so
+it admits every claim a decider could make.
 
 The serialized form is JSON with a fixed field order, produced by
 ``to_canonical_json``; re-serializing a parsed certificate reproduces the
@@ -19,9 +24,12 @@ bytes exactly, so certificates diff cleanly under version control.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from . import __version__
 from .covers import CorrespondenceCover, ListAssignment, int_array
@@ -58,6 +66,11 @@ class Certificate:
     metadata: Metadata
 
     def __post_init__(self) -> None:
+        if not isinstance(self.instance, (CorrespondenceCover, ListAssignment)):
+            kind = type(self.instance).__name__
+            raise MalformedInputError(
+                f"instance must be a correspondence cover or a list assignment, not {kind}"
+            )
         if self.claim not in CLAIMS:
             raise MalformedInputError(f"unknown claim {self.claim!r}")
         if (self.witness is not None) != (self.claim in _WITNESS_CLAIMS):
@@ -186,6 +199,26 @@ def _reject(reason: str, evidence: dict | None = None) -> VerifyResult:
 _ACCEPT = VerifyResult(accepted=True)
 
 
+class _Sides(NamedTuple):
+    """u[i], v[j]: the ascending colour sets of u_i, v_j.  columns[j][i][p]:
+    the colour of v_j that the p-th colour of u_i meets, sigma[i][j] in a
+    cover (every set {1..k}); in a list instance the identity, so every
+    column is the one tuple of U lists."""
+
+    u: tuple[tuple[int, ...], ...]
+    v: tuple[tuple[int, ...], ...]
+    columns: list[tuple[tuple[int, ...], ...]]
+    cover: bool
+
+
+def _sides(instance) -> _Sides:
+    if isinstance(instance, CorrespondenceCover):
+        colours = identity(instance.k)
+        columns = list(zip(*instance.sigma))
+        return _Sides((colours,) * instance.d, (colours,) * instance.t, columns, True)
+    return _Sides(instance.u_lists, instance.v_lists, [instance.u_lists] * instance.b, False)
+
+
 def verify_certificate(cert: Certificate) -> VerifyResult:
     """Check the certificate's claim against its instance from scratch.
 
@@ -197,185 +230,116 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     (``packing_scan_steps``, ``colouring_scan_steps``) exceeds the work
     limit.
     """
-    instance = cert.instance
+    sides = _sides(cert.instance)
     if cert.claim == "packing_witness":
-        return _verify_packing_witness(instance, cert.witness)
+        return _verify_packing_witness(sides, cert.witness)
     if cert.claim == "colouring_witness":
-        return _verify_colouring_witness(instance, cert.witness)
-
-    is_cover = isinstance(instance, CorrespondenceCover)
-    d, t = (instance.d, instance.t) if is_cover else (instance.a, instance.b)
-    k = instance.k
+        return _verify_colouring_witness(sides, cert.witness)
+    shape = (len(sides.u), len(sides.v), len(sides.u[0]))
     if cert.claim == "no_k_packing":
-        check_work(packing_scan_steps(d, t, k), "no_k_packing verification")
-        return _verify_no_packing(instance)
-    if cert.claim == "no_k_colouring":
-        check_work(colouring_scan_steps(d, t, k), "no_k_colouring verification")
-        return _verify_no_colouring(instance)
-    raise MalformedInputError(f"unknown claim {cert.claim!r}")
+        check_work(packing_scan_steps(*shape), "no_k_packing verification")
+        return _verify_no_packing(sides)
+    check_work(colouring_scan_steps(*shape), "no_k_colouring verification")
+    return _verify_no_colouring(sides)
 
 
-def _parse_cover_witness(witness: dict, d: int, t: int, k: int):
-    if not isinstance(witness, dict):
+def _witness_sides(sides: _Sides, witness, name: str, parse):
+    """parse(witness["u_" + name]) and parse(witness["v_" + name]), one item per vertex."""
+    try:
+        u_items, v_items = (parse(witness[side + name]) for side in ("u_", "v_"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInputError(f"malformed witness: {exc}") from exc
+    if len(u_items) != len(sides.u) or len(v_items) != len(sides.v):
+        raise MalformedInputError("witness dimensions do not match the instance")
+    return u_items, v_items
+
+
+def _misfit(sides: _Sides, u_items, v_items, fits) -> dict | None:
+    """{side, vertex} of the first item, U side first, that does not fit its colour set."""
+    for side, items, sets in (("u", u_items, sides.u), ("v", v_items, sides.v)):
+        for idx, (item, colours) in enumerate(zip(items, sets)):
+            if not fits(item, colours):
+                return {"side": side, "vertex": idx + 1}
+    return None
+
+
+def _verify_packing_witness(sides: _Sides, witness) -> VerifyResult:
+    # cover rows are permutation strings, list rows integer arrays
+    if sides.cover and not isinstance(witness, dict):
         raise MalformedInputError("witness must be an object")
-    try:
-        u_rows = [perm_from_str(s) for s in witness["u_rows"]]
-        v_rows = [perm_from_str(s) for s in witness["v_rows"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"malformed witness: {exc}") from exc
-    if len(u_rows) != d or len(v_rows) != t or any(len(r) != k for r in u_rows + v_rows):
-        raise MalformedInputError("witness dimensions do not match the instance")
-    return u_rows, v_rows
-
-
-def _verify_packing_witness(instance, witness) -> VerifyResult:
-    if isinstance(instance, CorrespondenceCover):
-        u_rows, v_rows = _parse_cover_witness(witness, instance.d, instance.t, instance.k)
-        for i in range(instance.d):
-            for j in range(instance.t):
-                sigma = instance.sigma[i][j]
-                for s in range(instance.k):
-                    if sigma[u_rows[i][s] - 1] == v_rows[j][s]:
-                        return _reject(
-                            "clashing edge", {"u": i + 1, "v": j + 1, "colouring": s + 1}
-                        )
-        return _ACCEPT
-
-    # list instance: rows are arrangements of each vertex's own list
-    try:
-        u_rows = [int_array(r) for r in witness["u_rows"]]
-        v_rows = [int_array(r) for r in witness["v_rows"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"malformed witness: {exc}") from exc
-    if len(u_rows) != instance.a or len(v_rows) != instance.b:
-        raise MalformedInputError("witness dimensions do not match the instance")
-    for rows, lists, side in ((u_rows, instance.u_lists, "u"), (v_rows, instance.v_lists, "v")):
-        for idx, (row, lst) in enumerate(zip(rows, lists)):
-            if tuple(sorted(row)) != lst:
-                return _reject(
-                    "row is not an arrangement of the vertex list",
-                    {"side": side, "vertex": idx + 1},
-                )
-    for i, u_row in enumerate(u_rows):
+    row = perm_from_str if sides.cover else int_array
+    u_rows, v_rows = _witness_sides(sides, witness, "rows", lambda rows: [*map(row, rows)])
+    where = _misfit(sides, u_rows, v_rows, lambda r, colours: tuple(sorted(r)) == colours)
+    if where is not None:
+        if sides.cover:  # a permutation of the wrong length
+            raise MalformedInputError("witness dimensions do not match the instance")
+        return _reject("row is not an arrangement of the vertex list", where)
+    for i, (u_row, colours) in enumerate(zip(u_rows, sides.u)):
+        at = [colours.index(c) for c in u_row]
         for j, v_row in enumerate(v_rows):
-            for s in range(instance.k):
-                if u_row[s] == v_row[s]:
-                    return _reject(
-                        "clashing edge", {"u": i + 1, "v": j + 1, "colouring": s + 1}
-                    )
+            meets = sides.columns[j][i]
+            for s, p in enumerate(at):
+                if meets[p] == v_row[s]:
+                    return _reject("clashing edge", {"u": i + 1, "v": j + 1, "colouring": s + 1})
     return _ACCEPT
 
 
-def _verify_colouring_witness(instance, witness) -> VerifyResult:
-    try:
-        u_col = int_array(witness["u_colours"])
-        v_col = int_array(witness["v_colours"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"malformed witness: {exc}") from exc
-    if isinstance(instance, CorrespondenceCover):
-        if len(u_col) != instance.d or len(v_col) != instance.t:
-            raise MalformedInputError("witness dimensions do not match the instance")
-        if any(not 1 <= c <= instance.k for c in u_col + v_col):
-            return _reject("colour out of range", None)
-        for i in range(instance.d):
-            for j in range(instance.t):
-                if instance.sigma[i][j][u_col[i] - 1] == v_col[j]:
-                    return _reject("clashing edge", {"u": i + 1, "v": j + 1})
-        return _ACCEPT
-    if len(u_col) != instance.a or len(v_col) != instance.b:
-        raise MalformedInputError("witness dimensions do not match the instance")
-    for col, lists, side in ((u_col, instance.u_lists, "u"), (v_col, instance.v_lists, "v")):
-        for idx, (c, lst) in enumerate(zip(col, lists)):
-            if c not in lst:
-                return _reject("colour not in list", {"side": side, "vertex": idx + 1})
-    for i, cu in enumerate(u_col):
+def _verify_colouring_witness(sides: _Sides, witness) -> VerifyResult:
+    u_col, v_col = _witness_sides(sides, witness, "colours", int_array)
+    where = _misfit(sides, u_col, v_col, lambda c, colours: c in colours)
+    if where is not None:
+        return _reject("colour out of range") if sides.cover else _reject("colour not in list", where)
+    for i, (c, colours) in enumerate(zip(u_col, sides.u)):
+        p = colours.index(c)
         for j, cv in enumerate(v_col):
-            if cu == cv:
+            if sides.columns[j][i][p] == cv:
                 return _reject("clashing edge", {"u": i + 1, "v": j + 1})
     return _ACCEPT
 
 
-def _verify_no_packing(instance) -> VerifyResult:
-    """Exhaust all candidates on the small side; accept iff every one fails.
+def _verify_no_packing(sides: _Sides) -> VerifyResult:
+    """Exhaust all candidates on U; accept iff every one fails at some vertex of V.
 
-    A candidate fails when some vertex of the other side has no perfect
-    matching; the lexicographically smallest extensions are only built for
-    a survivor, as rejection evidence.
+    Candidates arrange each U colour set, the first pinned in ascending
+    order (relabeling the k colourings permutes rows simultaneously).  The
+    lex-smallest extensions are only built for a survivor, as evidence.
     """
-    k = instance.k
-    if isinstance(instance, CorrespondenceCover):
-        ident = identity(k)
-        columns = [instance.column(j) for j in range(instance.t)]
-        # one permutation table per free row: with d = 1 none is built
-        free_rows = (itertools.permutations(ident) for _ in range(instance.d - 1))
-        for rest in itertools.product(*free_rows):
-            rows = (ident,) + rest
-            adms = _all_matchable(transported_masks(rows, col, k) for col in columns)
-            if adms is not None:
-                return _reject(
-                    "surviving packing found",
-                    {
-                        "u_rows": [perm_to_str(r) for r in rows],
-                        "v_rows": [perm_to_str(lex_smallest_system(a)) for a in adms],
-                    },
-                )
-        return _ACCEPT
-
-    # list instance: candidates are arrangements of the U lists, the first
-    # one pinned (relabeling the k colourings permutes rows simultaneously)
-    first, *rest_lists = instance.u_lists
-    for rest in itertools.product(*map(itertools.permutations, rest_lists)):
-        rows = (first,) + rest
-        adms = _all_matchable(list_masks(rows, v_list) for v_list in instance.v_lists)
-        if adms is not None:
-            v_rows = [
-                [v_list[i - 1] for i in lex_smallest_system(a)]
-                for v_list, a in zip(instance.v_lists, adms)
-            ]
-            return _reject(
-                "surviving packing found",
-                {"u_rows": [list(r) for r in rows], "v_rows": v_rows},
-            )
+    first, *rest = sides.u
+    if sides.cover:  # the matchings carry each row onto {1..k}
+        masks_at, targets = functools.partial(transported_masks, k=len(first)), sides.columns
+    else:
+        masks_at, targets = list_masks, sides.v
+    for rest_rows in itertools.product(*map(itertools.permutations, rest)):
+        rows, adms = (first,) + rest_rows, []
+        for target in targets:
+            adm = masks_at(rows, target)
+            if not has_perfect_matching(adm):
+                break
+            adms.append(adm)
+        else:
+            systems = map(lex_smallest_system, adms)
+            v_rows = [[colours[p - 1] for p in system] for colours, system in zip(sides.v, systems)]
+            rows_dict = witness_dict_for_cover if sides.cover else witness_dict_for_lists
+            return _reject("surviving packing found", rows_dict(rows, v_rows))
     return _ACCEPT
 
 
-def _all_matchable(mask_lists) -> list[list[int]] | None:
-    """The mask lists, in order, if each admits a perfect matching; else None."""
-    out = []
-    for adm in mask_lists:
-        if not has_perfect_matching(adm):
-            return None
-        out.append(adm)
-    return out
-
-
-def _verify_no_colouring(instance) -> VerifyResult:
-    if isinstance(instance, CorrespondenceCover):
-        k = instance.k
-        for u_col in itertools.product(range(1, k + 1), repeat=instance.d):
-            v_col = []
-            for j in range(instance.t):
-                used = {instance.sigma[i][j][u_col[i] - 1] for i in range(instance.d)}
-                if len(used) == k:
+def _verify_no_colouring(sides: _Sides) -> VerifyResult:
+    """Exhaust the colourings of U; accept iff every one leaves a vertex of
+    V with no free colour.  The colours a vertex sees depend only on its
+    column, so vertices that share one (all of a list instance) share them."""
+    for at in itertools.product(*(range(len(colours)) for colours in sides.u)):
+        v_col, seen = [], None
+        for colours, column in zip(sides.v, sides.columns):
+            if column is not seen:
+                seen, used = column, set(map(operator.getitem, column, at))
+            for c in colours:
+                if c not in used:
+                    v_col.append(c)
                     break
-                v_col.append(min(set(range(1, k + 1)) - used))
             else:
-                return _reject(
-                    "surviving colouring found",
-                    {"u_colours": list(u_col), "v_colours": v_col},
-                )
-        return _ACCEPT
-    for u_col in itertools.product(*instance.u_lists):
-        used = set(u_col)
-        v_col = []
-        for lst in instance.v_lists:
-            free = [c for c in lst if c not in used]
-            if not free:
                 break
-            v_col.append(min(free))
         else:
-            return _reject(
-                "surviving colouring found",
-                {"u_colours": list(u_col), "v_colours": v_col},
-            )
+            u_col = [colours[p] for colours, p in zip(sides.u, at)]
+            return _reject("surviving colouring found", {"u_colours": u_col, "v_colours": v_col})
     return _ACCEPT

@@ -9,8 +9,9 @@ from its input alone, and passes it to ``check_work`` before any work
 starts.  The unit is one matrix entry or colour carried to one vertex for
 the deciders and the verifier, one cover or matrix for the scans that
 count those, one machine word for the mask builders, one (candidate,
-list) pair for the list thresholds, and one permutation entry for
-``perms.all_permutations``; WORK_LIMIT bounds them all, and no call can
+list) pair for the list thresholds, one permutation entry for
+``perms.all_permutations``, and one edge matching for a cover built from
+its column picks; WORK_LIMIT bounds them all, and no call can
 raise it.  Step counts charged in more than one place are defined once,
 below ``check_work``.  Every count is exact up to 2^64 and capped past it,
 so refusing a huge input takes a few multiplications: ``candidate_count``

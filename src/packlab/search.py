@@ -243,35 +243,55 @@ def _matrices_blocked(d: int, k: int) -> tuple[int, int]:
     return forbidden_count_brute(d, k) // math.factorial(k), candidate_count(d, k)
 
 
-def _blocking_cover(d: int, t: int, k: int, blocked, masks_of) -> CorrespondenceCover | None:
-    """Lexicographically first canonical k-fold cover of K_{d,t} whose
+def _blocking_cover(d: int, t: int, k: int, blocked, masks_of) -> tuple[int, ...] | None:
+    """The closing picks, as indices into ``column_space(d, k)``, of the
+    lexicographically first canonical k-fold cover of K_{d,t} whose
     columns jointly block every candidate, or None.
 
     Each column blocks B of the N candidates, (B, N) = ``blocked(d, k)``;
     when t·B < N no t columns block them all (the union bound), and nothing
     is charged or built.  Otherwise the all-identity column 0 is pinned at
-    the first vertex and the t - 1 free columns run over multisets of
+    the first vertex and the free columns run over multisets of
     ``masks_of(d, k)``: the verdict does not depend on the order of V.
-    The scan is charged the worst-case multiset count
-    ``canonical_cover_count``, so what is refused depends on (d, t, k)
-    alone; ``first_multiset_cover`` prunes, and usually ends far sooner.
+
+    Only p = min(t - 1, n) free picks are scanned and returned, n =
+    (k!)^(d-1) the number of columns.  The lex-first multiset is a run of
+    its first index followed by the fewest picks that close the cover;
+    once p >= n, which first index opens a cover and that tail (at most
+    n - 1 picks) no longer depend on p, so t - 1 picks only lengthen the
+    run (``_cover_picks``), and a verdict never builds t of them.  The
+    scan is charged the worst-case count of p-pick multisets,
+    ``canonical_cover_count(d, p + 1, k)``, so what is refused depends on
+    (d, t, k) alone; ``first_multiset_cover`` prunes, and usually ends far
+    sooner.
     """
     per_column, n_targets = blocked(d, k)
     if t * per_column < n_targets:
         return None
-    check_work(canonical_cover_count(d, t, k), f"fold-{k} cover scan")
+    p = min(t - 1, candidate_count(d, k))
+    check_work(canonical_cover_count(d, p + 1, k), f"fold-{k} cover scan")
     masks = masks_of(d, k)
-    rest = first_multiset_cover(masks, n_targets, t - 1, masks[0])
-    return None if rest is None else cover_from_columns(column_space(d, k), (0,) + rest)
+    return first_multiset_cover(masks, n_targets, p, masks[0])
+
+
+def _cover_picks(rest: tuple[int, ...], t: int) -> tuple[int, ...]:
+    """All t column picks of the cover whose closing picks are ``rest``:
+    the pinned column 0, then the opening run lengthened to t - 1 picks."""
+    return (0,) + rest[:1] * (t - 1 - len(rest)) + rest
 
 
 def find_uncolourable_cover(d: int, t: int, k: int) -> CorrespondenceCover | None:
     """Lexicographically first canonical k-fold cover of K_{d,t} with no
     proper colouring, or None when every cover is colourable (exhaustive up
-    to relabeling: every cover is equivalent to a scanned one)."""
+    to relabeling: every cover is equivalent to a scanned one).  Building
+    the cover is charged its d·t edge matchings, after the scan."""
     if d < 2 or t < 1 or k < 1:
         raise ValueError("need d >= 2, t >= 1 and k >= 1")
-    return _blocking_cover(d, t, k, _colourings_blocked, colouring_masks)
+    rest = _blocking_cover(d, t, k, _colourings_blocked, colouring_masks)
+    if rest is None:
+        return None
+    check_work(d * t, f"building a {k}-fold cover of K_{{{d},{t}}}")
+    return cover_from_columns(column_space(d, k), _cover_picks(rest, t))
 
 
 def _least_open_fold(a: int, b: int, blocked, masks_of) -> int:

@@ -45,6 +45,13 @@ def test_witness_presence_rule():
         make_certificate("packing_witness", k22_unpackable_cover(), None, generator="x")
 
 
+def test_instance_must_be_a_cover_or_an_assignment():
+    # verifying such a certificate used to end in an AttributeError
+    for instance in (None, "cover", {"kind": "correspondence_cover"}):
+        with pytest.raises(MalformedInputError, match="^instance must be a correspondence cover"):
+            make_certificate("no_k_packing", instance, None, generator="g")
+
+
 def test_verify_k22_no_packing():
     assert verify_certificate(k22_certificate()).accepted
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,7 @@ from packlab.blocking import (
     packing_masks,
 )
 from packlab.covers import canonicalize, k22_unpackable_cover, standard_cover
-from packlab.errors import ResourceLimitError, canonical_cover_count
+from packlab.errors import WORK_LIMIT, ResourceLimitError, canonical_cover_count
 from packlab.certificates import make_certificate, verify_certificate, witness_dict_for_cover
 from packlab.cli import main
 from packlab.perms import identity, is_derangement_of, perm_to_str
@@ -184,6 +185,13 @@ def test_uncolourable_cover_work_cap_checked_before_building(monkeypatch):
         search.find_uncolourable_cover(4, 5, 3)
 
 
+def test_huge_uncolourable_cover_refused_before_building(monkeypatch):
+    # fold 2 of K_{2,t} scans two free picks, but the cover has 2t edges
+    monkeypatch.setattr(search, "cover_from_columns", lambda *a: pytest.fail("cover built"))
+    with pytest.raises(ResourceLimitError, match=r"^building a 2-fold cover of K_\{2,100000000\} "):
+        find_uncolourable_cover(2, 10**8, 2)
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_uncolourable_cover_needs_a_fold(k):
     with pytest.raises(ValueError, match="k >= 1"):
@@ -205,11 +213,49 @@ def test_chi_c_exact_at_deep_t(capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
-@pytest.mark.parametrize("a,b,steps", [(2, 74, 21111090), (3, 8, 26978328)])
+@pytest.mark.parametrize("param,value", [("c", "3"), ("cstar", "4")])
+def test_chi_at_huge_t_builds_no_cover(param, value, capsys):
+    # a verdict keeps at most (k!)^(d-1) picks: K_{2,10^9} costs no O(t) memory
+    tracemalloc.start()
+    try:
+        assert main(["chi", "--param", param, "--a", "2", "--b", str(10**9)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.strip() == value
+    assert peak < 1 << 24
+
+
+@pytest.mark.parametrize("a,b,steps", [(3, 8, 26978328)])
 def test_chi_c_star_refusals_unchanged_by_the_pruned_scan(a, b, steps):
     # the charge is the worst-case multiset count, not what the scan visits
     with pytest.raises(ResourceLimitError, match=f"^fold-3 cover scan needs {steps} steps, "):
         chi_c_star_exact(a, b)
+
+
+@pytest.mark.parametrize("t", [74, 1000, 10**6])
+def test_chi_c_star_of_k2t_at_any_t(t):
+    # fold 3 scans min(t - 1, 6) free picks, charged C(11, 5) = 462
+    # multisets; at d = 2 no column blocks a fold-4 candidate
+    assert chi_c_star_exact(2, t) == 4
+
+
+def test_blocking_cover_matches_the_uncapped_scan():
+    # with t - 1 >= n = (k!)^(d-1) picks only the opening run grows, so the
+    # capped scan equals the scan over all t - 1 picks wherever that is admitted
+    for blocked, masks_of in [
+        (search._matrices_blocked, packing_masks),
+        (search._colourings_blocked, colouring_masks),
+    ]:
+        for d, k in [(2, 2), (2, 3), (3, 2)]:
+            masks, n_targets = masks_of(d, k), blocked(d, k)[1]
+            for t in range(1, 80):
+                if canonical_cover_count(d, t, k) > WORK_LIMIT:
+                    break
+                expected = first_multiset_cover(masks, n_targets, t - 1, masks[0])
+                rest = search._blocking_cover(d, t, k, blocked, masks_of)
+                got = None if rest is None else search._cover_picks(rest, t)[1:]
+                assert got == expected, (d, t, k)
 
 
 def test_chi_c_k44_counterexample():
@@ -263,8 +309,9 @@ def test_chi_c_star_settled_by_the_union_bound(a, b):
 
 
 def test_k34_fold_three_unpackable_cover_verifies():
-    cover = search._blocking_cover(3, 4, 3, search._matrices_blocked, packing_masks)
-    assert cover is not None and (cover.d, cover.t, cover.k) == (3, 4, 3)
+    rest = search._blocking_cover(3, 4, 3, search._matrices_blocked, packing_masks)
+    cover = cover_from_columns(column_space(3, 3), search._cover_picks(rest, 4))
+    assert (cover.d, cover.t, cover.k) == (3, 4, 3)
     assert decide_correspondence_packing(cover) is None
     assert verify_certificate(make_certificate("no_k_packing", cover, None, generator="test"))
 
