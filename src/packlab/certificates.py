@@ -245,6 +245,8 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
 
 def _witness_sides(sides: _Sides, witness, name: str, parse):
     """parse(witness["u_" + name]) and parse(witness["v_" + name]), one item per vertex."""
+    if not isinstance(witness, dict):
+        raise MalformedInputError("witness must be an object")
     try:
         u_items, v_items = (parse(witness[side + name]) for side in ("u_", "v_"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -265,8 +267,6 @@ def _misfit(sides: _Sides, u_items, v_items, fits) -> dict | None:
 
 def _verify_packing_witness(sides: _Sides, witness) -> VerifyResult:
     # cover rows are permutation strings, list rows integer arrays
-    if sides.cover and not isinstance(witness, dict):
-        raise MalformedInputError("witness must be an object")
     row = perm_from_str if sides.cover else int_array
     u_rows, v_rows = _witness_sides(sides, witness, "rows", lambda rows: [*map(row, rows)])
     where = _misfit(sides, u_rows, v_rows, lambda r, colours: tuple(sorted(r)) == colours)

@@ -23,16 +23,16 @@ integer ceilings certified by directed rounding in the standard library's
 
 from __future__ import annotations
 
-import itertools
+import collections
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
-from .errors import WORK_LIMIT, ResourceLimitError, candidate_count, capped_product, check_work
+from .errors import ResourceLimitError, candidate_count, capped_product, check_work
 from .latin import LATIN_SQUARE_COUNTS, _count_rows
 from .packing import has_perfect_matching
-from .perms import Perm, cycle_type, identity
+from .perms import Perm
 
 
 def w_odd(d: int) -> int:
@@ -84,38 +84,40 @@ def w_even(d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _conjugacy_classes(k: int) -> list[tuple[Perm, int]]:
-    """(representative, class size) per cycle type of the symmetric group on [k].
-
-    Representatives are the lexicographically smallest members.
-    """
-    classes: dict[tuple[int, ...], list] = {}
-    for p in itertools.permutations(range(1, k + 1)):
-        entry = classes.setdefault(cycle_type(p), [p, 0])
-        entry[1] += 1
-        if p < entry[0]:
-            entry[0] = p
-    return [(rep, size) for rep, size in classes.values()]
-
-
-def _partition_count(k: int) -> int:
-    """Number of integer partitions of k, i.e. of cycle types in S_k."""
-    ways = [1] + [0] * k
+def _partitions(k: int) -> list[tuple[int, ...]]:
+    """The partitions of k, parts ascending: the cycle types of S_k."""
+    ways: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(k)]
     for part in range(1, k + 1):
         for n in range(part, k + 1):
-            ways[n] += ways[n - part]
+            ways[n] += [p + (part,) for p in ways[n - part]]
     return ways[k]
 
 
+def _conjugacy_class(parts: tuple[int, ...]) -> tuple[Perm, int]:
+    """(lexicographically smallest member, size) of the class of cycle type `parts`.
+
+    The member is the fixed points, then the cycles by ascending length, each
+    written (a a+1 ... a+l-1); the size is k!/prod l^m m! over m cycles of length l.
+    """
+    rep: list[int] = []
+    for length in parts:
+        a = len(rep) + 1
+        rep += [*range(a + 1, a + length), a]
+    size = math.factorial(len(rep))
+    for length, m in collections.Counter(parts).items():
+        size //= length**m * math.factorial(m)
+    return tuple(rep), size
+
+
 def _count_block(k: int, fixed: tuple[Perm, ...], depth: int, memo: dict) -> int:
-    """Forbidden matrices whose first rows are `fixed`, with `depth` free rows.
+    """Forbidden matrices whose first rows are the identity and `fixed`, with `depth` free rows.
 
     `memo` is the ``latin._count_rows`` memo.  Its keys name states only up
     to positions and colours, never the block, so the blocks of one count
     may share it.  A full matrix scores 1 iff its admissible masks have no
     perfect matching.
     """
-    cols = [0] * k
+    cols = [1 << j for j in range(k)]
     for row in fixed:
         for j, c in enumerate(row):
             cols[j] |= 1 << (c - 1)
@@ -140,16 +142,17 @@ def forbidden_count_brute(
     default for d >= 3) the second row is additionally restricted to one
     representative per conjugacy class, weighting each block by the class
     size: simultaneous conjugation of all rows fixes the identity first row
-    and again preserves unextendability.  Each block is counted by
-    ``latin._count_rows``, whose memo keys a partial matrix by its column
-    masks up to position order and one colour relabeling (relabeling
-    positions alone, or colours alone, also preserves unextendability); the
-    blocks of one count share that memo.  The last free row runs through
-    the k! rows in one flat pass, and each full matrix it reaches is still
-    judged by its own matching call.  The reductions and the memo are exact
-    and are cross-checked against a plain enumeration in the tests.  Every count
-    runs in one process; ``workers`` is never read and stays only because
-    the benchmark harness passes it.
+    and again preserves unextendability; the classes are read off the
+    partitions of k, listed once the charge without their number is
+    admitted.  Each block is counted by ``latin._count_rows``, whose memo
+    keys a partial matrix by its column masks up to position order and one
+    colour relabeling (relabeling positions alone, or colours alone, also
+    preserves unextendability); the blocks of one count share that memo.
+    The last free row runs through the k! rows in one flat pass, and each
+    full matrix it reaches is still judged by its own matching call.  The
+    reductions and the memo are exact and are cross-checked against a plain
+    enumeration in the tests.  Every count runs in one process; ``workers``
+    is never read and stays only because the benchmark harness passes it.
     """
     if d < 1 or k < 1:
         raise ValueError("need d, k >= 1")
@@ -159,22 +162,18 @@ def forbidden_count_brute(
         return 0  # a single row of k >= 2 colours has a derangement
     if use_class_reduction is None:
         use_class_reduction = d >= 3
-    free_rows = d - 1
+    what = "brute-force forbidden count"
     kf = capped_product(range(1, k + 1))  # k! once either charge below is admitted
-    if not use_class_reduction:
-        check_work(candidate_count(d, k), "brute-force forbidden count")
-        return kf * _count_block(k, (identity(k),), free_rows, {})
-
-    # one block per cycle type; listing the classes alone walks all k! rows.
-    # p(k) takes O(k^2) steps, so it is computed only when the rest is admitted
-    cost = max(kf, candidate_count(d - 1, k))
-    if cost <= WORK_LIMIT:
-        cost = max(kf, _partition_count(k) * candidate_count(d - 1, k))
-    check_work(cost, "brute-force forbidden count")
-    blocks = _conjugacy_classes(k)
-    ident = identity(k)
+    if use_class_reduction:
+        check_work(max(kf, candidate_count(d - 1, k)), what)
+        types = _partitions(k)
+        check_work(max(kf, len(types) * candidate_count(d - 1, k)), what)
+        blocks = [((rep,), size) for rep, size in sorted(map(_conjugacy_class, types))]
+    else:
+        check_work(candidate_count(d, k), what)
+        blocks = [((), 1)]
     memo: dict = {}
-    return kf * sum(size * _count_block(k, (ident, rep), free_rows - 1, memo) for rep, size in blocks)
+    return kf * sum(size * _count_block(k, rows, d - 1 - len(rows), memo) for rows, size in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import ResourceLimitError
 
-#: exhaustive enumeration is used up to this order (n=6 takes ~0.06 s)
+#: exhaustive enumeration is used up to this order (n=6 takes ~0.03 s)
 DEFAULT_ENUMERATION_LIMIT = 6
 
 #: N(n) for 1 <= n <= 11 (McKay-Wanless 2005 for n >= 7)
@@ -84,60 +84,20 @@ def is_latin(rows: Sequence[Sequence[int]], value_set: Iterable[int]) -> bool:
     return True
 
 
-@functools.cache
-def _histogram_table(k: int) -> tuple[tuple[int, ...], int, int]:
-    """(table, lowest, ones) for the colour histograms of ``_relabeled``.
-
-    Colour c owns bits [c * field, (c + 1) * field) of a packed histogram,
-    split into k + 1 counters of k.bit_length() bits, one per popcount; a
-    counter counts at most k masks, so it never carries.  table[m] adds 1
-    to the popcount(m) counter of each colour in m; ``lowest`` masks colour
-    0's field, and ``ones`` has a 1 at the bottom of each colour's field.
-    Kept per k for the process: the callers admit k <= 10 (n <= 6 for
-    rectangles, k! within the work limit for forbidden counts), so at most
-    2^11 entries in all.
-    """
-    width = k.bit_length()
-    field = (k + 1) * width
-    ones = sum(1 << (c * field) for c in range(k))
-    table = tuple(
-        sum(1 << (c * field + m.bit_count() * width) for c in range(k) if m >> c & 1)
-        for m in range(1 << k)
-    )
-    return table, (1 << field) - 1, ones
-
-
 def _relabeled(k: int, cols: list[int]) -> tuple[int, ...] | None:
     """The sorted masks of `cols` under one colour relabeling, or None for the identity.
 
-    Colours are ordered by their packed histogram of the popcounts of the
-    masks that hold them, ties broken by label, and colour order[r] becomes
-    r.  Any relabeling gives an exact key; this one is cheap, and is the
-    identity when every colour sees the same popcounts, as in a Latin state.
+    Colours are ordered by the popcounts of the masks that hold them,
+    listed largest first and compared as lists, ties broken by label, and
+    colour order[r] becomes r.  Any relabeling gives an exact key; this one
+    is the identity when every colour sees the same popcounts, as in a
+    Latin state.
     """
-    table, lowest, ones = _histogram_table(k)
-    packed = 0
-    for m in cols:
-        packed += table[m]
-    if packed == (packed & lowest) * ones:
+    pops = sorted(((m.bit_count(), m) for m in cols), reverse=True)
+    order = sorted(range(k), key=lambda c: [p for p, m in pops if m >> c & 1])
+    if order == list(range(k)):
         return None
-    field = lowest.bit_length()
-    hist = [packed >> (c * field) & lowest for c in range(k)]
-    order = sorted(range(k), key=hist.__getitem__)
-    if all(c == r for r, c in enumerate(order)):
-        return None
-    rank = [0] * k
-    for r, c in enumerate(order):
-        rank[c] = 1 << r
-    image = []
-    for m in cols:
-        new = 0
-        while m:
-            low = m & -m
-            new |= rank[low.bit_length() - 1]
-            m ^= low
-        image.append(new)
-    return tuple(sorted(image))
+    return tuple(sorted(sum(1 << r for r, c in enumerate(order) if m >> c & 1) for m in cols))
 
 
 @functools.cache
@@ -215,9 +175,11 @@ def _count_rows(k: int, cols: list[int], depth: int, leaf, memo: dict) -> int:
     relabeling the colours of a state map its completions one to one onto
     those of its image, and every leaf used here is invariant under both.
     So a state at depth >= 1 is memoized in `memo` on (depth, sorted masks)
-    and, unless ``_relabeled`` finds the identity, on (depth, sorted masks
-    of its relabeled image); either key found answers the state, and a
-    count is stored under both.
+    and, for free rows unless ``_relabeled`` finds the identity, on (depth,
+    sorted masks of its relabeled image); either key found answers the
+    state, and a count is stored under both.  In a Latin state every colour
+    sits in r columns of popcount r, so its relabeling is the identity and
+    is not computed.
 
     Rows are drawn whole from the k! rows.  A Latin state's next rows are
     the rows outside its clash set, the union of the row sets
@@ -233,7 +195,7 @@ def _count_rows(k: int, cols: list[int], depth: int, leaf, memo: dict) -> int:
     total = memo.get(key)
     if total is not None:
         return total
-    alias = _relabeled(k, cols)
+    alias = None if leaf is None else _relabeled(k, cols)
     if alias is not None:
         alias = (depth, alias)
         total = memo.get(alias)

@@ -150,6 +150,15 @@ def test_verify_colouring_witness():
     assert not verify_certificate(clash).accepted
 
 
+@pytest.mark.parametrize("claim", ["packing_witness", "colouring_witness"])
+@pytest.mark.parametrize("witness", [[], "rows", 3])
+def test_witness_must_be_an_object_for_every_witness_claim(claim, witness):
+    for instance in (standard_cover(2, 2, 3), a10_assignment()):
+        cert = make_certificate(claim, instance, witness, generator="manual")
+        with pytest.raises(MalformedInputError, match="^witness must be an object$"):
+            verify_certificate(cert)
+
+
 def test_verifier_size_refusal():
     # (3!)^4 * 2 steps: admitted, and the standard cover packs
     cover = standard_cover(5, 2, 3)

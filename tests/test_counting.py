@@ -12,6 +12,8 @@ import pytest
 
 import packlab
 from packlab.counting import (
+    _conjugacy_class,
+    _partitions,
     estimate_bound,
     estimate_bound_first_order,
     forbidden_count_brute,
@@ -27,6 +29,7 @@ from packlab.counting import (
 )
 from packlab.errors import ResourceLimitError
 from packlab.packing import PackingMatrix, brute_force_extension
+from packlab.perms import cycle_type
 
 
 def test_w_odd_values():
@@ -87,6 +90,26 @@ def test_brute_force_class_reduction_is_exact():
         plain = forbidden_count_brute(d, k, use_class_reduction=False)
         reduced = forbidden_count_brute(d, k, use_class_reduction=True)
         assert plain == reduced
+
+
+def _walked_conjugacy_classes(k: int) -> list:
+    """(lexicographically smallest member, size) per cycle type of S_k, by
+    walking all k! permutations in lexicographic order; classes in order of
+    first appearance."""
+    classes: dict = {}
+    for p in itertools.permutations(range(1, k + 1)):
+        entry = classes.setdefault(cycle_type(p), [p, 0])
+        entry[1] += 1
+        if p < entry[0]:
+            entry[0] = p
+    return [(rep, size) for rep, size in classes.values()]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_conjugacy_classes_from_partitions_match_the_walk(k):
+    classes = sorted(map(_conjugacy_class, _partitions(k)))
+    assert classes == _walked_conjugacy_classes(k)
+    assert sum(size for _, size in classes) == math.factorial(k)
 
 
 def _plain_forbidden_count(d: int, k: int, pin_first_row: bool) -> int:

@@ -248,4 +248,4 @@ def test_verifier_outputs_pinned():
     }
     assert len(batch) == 80 * 16
     digest = hashlib.sha256(json.dumps(batch).encode()).hexdigest()
-    assert digest == "86ce8b1369e68f3f98b3bb83fef269c12d05b1bf700241cd014436aeae1a720e"
+    assert digest == "273b0198970bc98b1f8f08de8f6bad882631598fbdc9a0eecc38612b24764bbc"

@@ -9,6 +9,7 @@ from packlab.latin import (
     LATIN_SQUARE_COUNTS,
     REDUCED_LATIN_SQUARE_COUNTS,
     _count_rows,
+    _relabeled,
     _row_sets,
     count_latin_rectangles,
     count_latin_squares,
@@ -173,6 +174,24 @@ def test_count_rows_invariant_under_relabeling_and_position_permutation(k, depth
             assert _count_rows(k, list(image), depth, leaf, {}) == want
 
 
+@pytest.mark.parametrize("k", range(2, 7))
+def test_relabeled_orders_colours_by_their_popcount_counts(k):
+    # colour c's key is the number of masks of popcount k, k - 1, ..., 1
+    # that hold it; colours go in ascending key order, ties by label, colour
+    # order[r] becomes r, and the identity order gives None
+    rng = random.Random(50 + k)
+    for _ in range(200):
+        cols = [rng.getrandbits(k) for _ in range(k)]
+        counts = [
+            tuple(sum(m >> c & 1 and m.bit_count() == p for m in cols) for p in range(k, 0, -1))
+            for c in range(k)
+        ]
+        order = sorted(range(k), key=counts.__getitem__)
+        image = tuple(sorted(_relabel(m, [order.index(c) for c in range(k)]) for m in cols))
+        want = None if order == list(range(k)) else image
+        assert _relabeled(k, cols) == want, cols
+
+
 class _ImageCheckingMemo(dict):
     """A memo that checks each key it stores against the state being stored.
 
@@ -233,6 +252,7 @@ def test_latin_tails_on_latin_rectangle_states(k, depth):
             for row in _random_latin_rectangle(rng, r, k):
                 for j, c in enumerate(row):
                     cols[j] |= 1 << c
+            assert _relabeled(k, cols) is None  # so Latin states skip the alias key
             want = _plain_count_rows(k, cols, depth, None)
             assert want > 0  # a Latin rectangle always extends
             assert _count_rows(k, list(cols), depth, None, {}) == want

@@ -55,9 +55,9 @@ def record_charges(monkeypatch, module) -> list[int]:
 
 @pytest.fixture
 def small_counts_only(monkeypatch):
-    """math.factorial and counting._partition_count fail the test above 12,
-    math.comb above 10^6: a gate that needs k!, p(k) or a binomial of a huge
-    argument in full fails instead of hanging."""
+    """math.factorial and counting._partitions fail the test above 12,
+    math.comb above 10^6: a gate that needs k!, the partitions of k or a
+    binomial of a huge argument in full fails instead of hanging."""
 
     def guard(real, most):
         def guarded(n, *rest):
@@ -69,7 +69,7 @@ def small_counts_only(monkeypatch):
 
     monkeypatch.setattr(math, "factorial", guard(math.factorial, 12))
     monkeypatch.setattr(math, "comb", guard(math.comb, 10**6))
-    monkeypatch.setattr(counting, "_partition_count", guard(counting._partition_count, 12))
+    monkeypatch.setattr(counting, "_partitions", guard(counting._partitions, 12))
 
 
 def admitted(call) -> bool:
@@ -239,14 +239,23 @@ def test_colouring_mask_gate(monkeypatch):
         (5, 5, True, True),  # 7 * 120^3
         (6, 5, True, False),
         (4, 7, True, False),
-        (2, 12, True, False),  # listing the classes alone would walk 12! rows
+        (2, 12, True, False),  # refused at 12!, before the partitions of 12 are listed
     ],
 )
 def test_forbidden_count_gate(monkeypatch, small_counts_only, d, k, reduce, ok):
     stub(monkeypatch, counting, "_count_block")
-    stub(monkeypatch, counting, "_conjugacy_classes")
+    stub(monkeypatch, counting, "_conjugacy_class")
     call = lambda: counting.forbidden_count_brute(d, k, use_class_reduction=reduce)  # noqa: E731
     assert admitted(call) == ok
+
+
+def test_forbidden_count_charges_the_classes_once_they_are_listed(monkeypatch, small_counts_only):
+    # 10! = 3 628 800 is admitted, then the 42 classes of S_10 at 10! each are not
+    charged = record_charges(monkeypatch, counting)
+    stub(monkeypatch, counting, "_conjugacy_class")
+    with pytest.raises(ResourceLimitError, match="forbidden count needs 152409600 steps"):
+        counting.forbidden_count_brute(3, 10)
+    assert charged == [3628800, 152409600]
 
 
 @pytest.mark.parametrize(
@@ -330,7 +339,7 @@ def test_all_permutations_gate(monkeypatch, small_counts_only, k, steps, ok):
 @pytest.mark.parametrize(
     "d,k,reduce",
     [
-        (3, 10**6, True),  # neither k! nor p(k) is computed
+        (3, 10**6, True),  # k! is not computed, nor are the partitions of k listed
         (3, 10**6, False),
         (2, 10**6, True),
         (2, 10**6, False),
@@ -340,7 +349,7 @@ def test_all_permutations_gate(monkeypatch, small_counts_only, k, steps, ok):
 )
 def test_forbidden_count_refuses_huge_shapes_at_once(monkeypatch, small_counts_only, d, k, reduce):
     stub(monkeypatch, counting, "_count_block")
-    stub(monkeypatch, counting, "_conjugacy_classes")
+    stub(monkeypatch, counting, "_conjugacy_class")
     with pytest.raises(ResourceLimitError, match=r"brute-force forbidden count needs more than 2\^"):
         counting.forbidden_count_brute(d, k, use_class_reduction=reduce)
 
@@ -364,7 +373,7 @@ UNREACHED = [
     (blocking, "_translate_masks"),
     (blocking, "_transpose"),
     (counting, "_count_block"),
-    (counting, "_conjugacy_classes"),
+    (counting, "_conjugacy_class"),
 ]
 
 
