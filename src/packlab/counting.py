@@ -24,13 +24,15 @@ integer ceilings certified by directed rounding in the standard library's
 from __future__ import annotations
 
 import collections
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
-from .errors import ResourceLimitError, candidate_count, capped_product, check_work
-from .latin import LATIN_SQUARE_COUNTS, _count_rows
+from .errors import WORK_LIMIT, ResourceLimitError, candidate_count, capped_product, check_work
+from .latin import LATIN_SQUARE_COUNTS, _count_rows, _dead_ends
 from .packing import has_perfect_matching
 from .perms import Perm
 
@@ -109,23 +111,35 @@ def _conjugacy_class(parts: tuple[int, ...]) -> tuple[Perm, int]:
     return tuple(rep), size
 
 
-def _count_block(k: int, fixed: tuple[Perm, ...], depth: int, memo: dict) -> int:
+def _matching_dead_ends(k: int, cols: list[int]) -> int:
+    """The number of last rows after which the state is unextendable, one matching call per row.
+
+    The per-matrix Hall oracle: one flat pass over the k! rows, each full
+    matrix's admissible masks judged by ``has_perfect_matching``.
+    """
+    full = (1 << k) - 1
+    unused = [full & ~m for m in cols]
+    others = [full ^ (1 << c) for c in range(k)]
+    rows = itertools.permutations(others)
+    return sum(not has_perfect_matching(list(map(operator.and_, unused, row))) for row in rows)
+
+
+def _count_block(k: int, fixed: tuple[Perm, ...], depth: int, memo: dict, last) -> int:
     """Forbidden matrices whose first rows are the identity and `fixed`, with `depth` free rows.
 
     `memo` is the ``latin._count_rows`` memo.  Its keys name states only up
     to positions and colours, never the block, so the blocks of one count
-    may share it.  A full matrix scores 1 iff its admissible masks have no
-    perfect matching.
+    may share it.  The last free row is counted by last(k, cols); a block
+    with no free row is judged by its own matching call.
     """
     cols = [1 << j for j in range(k)]
     for row in fixed:
         for j, c in enumerate(row):
             cols[j] |= 1 << (c - 1)
-
-    def unextendable(adm: list[int]) -> int:
-        return 0 if has_perfect_matching(adm) else 1
-
-    return _count_rows(k, cols, depth, unextendable, memo)
+    if depth == 0:
+        full = (1 << k) - 1
+        return 0 if has_perfect_matching([full & ~m for m in cols]) else 1
+    return _count_rows(k, cols, depth, last, memo)
 
 
 def forbidden_count_brute(
@@ -148,11 +162,15 @@ def forbidden_count_brute(
     keys a partial matrix by its column masks up to position order and one
     colour relabeling (relabeling positions alone, or colours alone, also
     preserves unextendability); the blocks of one count share that memo.
-    The last free row runs through the k! rows in one flat pass, and each
-    full matrix it reaches is still judged by its own matching call.  The
-    reductions and the memo are exact and are cross-checked against a plain
-    enumeration in the tests.  Every count runs in one process; ``workers``
-    is never read and stays only because the benchmark harness passes it.
+    On the class path the last free row is counted from row sets with no
+    matching call (``latin._dead_ends``) while its (k!)^2-bit table fits
+    the work limit in machine words, that is for k <= 7.  The plain
+    enumeration, and the class path past k = 7, run through the k! last
+    rows in one flat pass and judge each full matrix by its own matching
+    call.  The reductions, the memo and the row-set count are exact and are
+    cross-checked against the plain enumeration in the tests.  Every count
+    runs in one process; ``workers`` is never read and stays only because
+    the benchmark harness passes it.
     """
     if d < 1 or k < 1:
         raise ValueError("need d, k >= 1")
@@ -164,16 +182,21 @@ def forbidden_count_brute(
         use_class_reduction = d >= 3
     what = "brute-force forbidden count"
     kf = capped_product(range(1, k + 1))  # k! once either charge below is admitted
+    last = _matching_dead_ends
     if use_class_reduction:
         check_work(max(kf, candidate_count(d - 1, k)), what)
         types = _partitions(k)
         check_work(max(kf, len(types) * candidate_count(d - 1, k)), what)
         blocks = [((rep,), size) for rep, size in sorted(map(_conjugacy_class, types))]
+        if kf * -(-kf // 64) <= WORK_LIMIT:  # machine words of meet, k! sets of k! bits
+            last = _dead_ends
     else:
         check_work(candidate_count(d, k), what)
         blocks = [((), 1)]
     memo: dict = {}
-    return kf * sum(size * _count_block(k, rows, d - 1 - len(rows), memo) for rows, size in blocks)
+    return kf * sum(
+        size * _count_block(k, rows, d - 1 - len(rows), memo, last) for rows, size in blocks
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ served from stored constants taken from the published enumeration of
 B. D. McKay and I. M. Wanless, "On the number of Latin squares", Ann. Comb.
 9 (2005) 335-344.  The stored values for small orders are re-derived by
 enumeration in the test suite.  The same enumerator counts the forbidden
-matrices in ``counting``.
+matrices in ``counting``, whose last free row is counted from the same
+row sets (``_dead_ends``) or, in the plain enumeration and past k = 7,
+by one matching call per matrix.
 """
 
 from __future__ import annotations
@@ -108,8 +110,10 @@ def _row_sets(k: int) -> tuple[tuple, tuple, tuple[int, ...]]:
     k!-bit int with bit i for row i: hits[j][m] is the set of rows whose
     colour at position j lies in the colour mask m, and meet[i] the set of
     rows that agree with row i in some position, row i included.  Kept per
-    k for the process; only Latin counts ask, and they admit
-    k <= DEFAULT_ENUMERATION_LIMIT, so at most 6 * 64 + 720 sets of 720 bits.
+    k for the process.  Latin counts ask for k <= DEFAULT_ENUMERATION_LIMIT;
+    class-reduced forbidden counts ask only while meet, (k!)^2 bits, fits
+    the work limit in machine words, which is k <= 7: at most 7 * 128 + 5040
+    sets of 5040 bits, about 4 MB.
     """
     rows = list(itertools.permutations([1 << c for c in range(k)]))
     hits = [[0] * (1 << k) for _ in range(k)]
@@ -135,13 +139,42 @@ def _members(rows: int):
         yield low.bit_length() - 1
 
 
-def _latin_count(k: int, cols: list[int], depth: int, memo: dict) -> int:
-    """``_count_rows`` of a Latin state: its next rows are those outside its clash set."""
-    table, hits, meet = _row_sets(k)
+def _free_rows(k: int, cols: list[int]) -> int:
+    """The set of rows that avoid every row of the state: those outside its clash set.
+
+    The clash set is the union of the row sets hits[j][cols[j]]; a row
+    outside it uses no colour its column has used, so it may follow the
+    state as a Latin row.
+    """
+    table, hits, _ = _row_sets(k)
     clash = 0
     for j, m in enumerate(cols):
         clash |= hits[j][m]
-    free = ((1 << len(table)) - 1) & ~clash
+    return ((1 << len(table)) - 1) & ~clash
+
+
+def _dead_ends(k: int, cols: list[int]) -> int:
+    """The number of last rows r after which no row avoids every row of the state.
+
+    Row r leaves the free rows P (``_free_rows``) less meet[r], so r is a
+    dead end iff P is a subset of meet[r].  meet is symmetric, so the dead
+    ends are the AND of meet[p] over p in P, all k! rows when P is empty.
+    No matching call; the count is invariant under position permutation
+    and colour relabeling of the state.
+    """
+    meet = _row_sets(k)[2]
+    dead = (1 << len(meet)) - 1
+    for p in _members(_free_rows(k, cols)):
+        dead &= meet[p]
+        if not dead:
+            break
+    return dead.bit_count()
+
+
+def _latin_count(k: int, cols: list[int], depth: int, memo: dict) -> int:
+    """``_count_rows`` of a Latin state: its next rows are its free rows."""
+    table, _, meet = _row_sets(k)
+    free = _free_rows(k, cols)
     if depth == 1:
         return free.bit_count()
     if depth == 2:
@@ -149,7 +182,7 @@ def _latin_count(k: int, cols: list[int], depth: int, memo: dict) -> int:
     return _append_each(k, cols, depth, None, memo, (table[i] for i in _members(free)))
 
 
-def _append_each(k: int, cols: list[int], depth: int, leaf, memo: dict, rows) -> int:
+def _append_each(k: int, cols: list[int], depth: int, last, memo: dict, rows) -> int:
     """Sum of ``_count_rows`` at depth - 1 over `rows` appended to `cols` in turn.
 
     A row is given as its colour bits by position.
@@ -158,23 +191,22 @@ def _append_each(k: int, cols: list[int], depth: int, leaf, memo: dict, rows) ->
     total = 0
     for row in rows:
         cols[:] = map(operator.or_, state, row)
-        total += _count_rows(k, cols, depth - 1, leaf, memo)
+        total += _count_rows(k, cols, depth - 1, last, memo)
     cols[:] = state
     return total
 
 
-def _count_rows(k: int, cols: list[int], depth: int, leaf, memo: dict) -> int:
-    """Sum over the ways to append `depth` rows to `cols` of the full state's score.
+def _count_rows(k: int, cols: list[int], depth: int, last, memo: dict) -> int:
+    """The number of ways to append `depth` >= 1 rows to `cols`, the last one counted by `last`.
 
     Each row is a permutation of [k]; cols[j] is the bitmask of the values
     used so far in column j and is updated in place (and restored) as rows
-    are appended.  With `leaf` None a row may not reuse a value in its
-    column (Latin rows) and every full state scores 1; otherwise rows are
-    free and a full state scores leaf(its admissible masks), mask j holding
-    the colours column j does not use.  Permuting the positions and
-    relabeling the colours of a state map its completions one to one onto
-    those of its image, and every leaf used here is invariant under both.
-    So a state at depth >= 1 is memoized in `memo` on (depth, sorted masks)
+    are appended.  With `last` None a row may not reuse a value in its
+    column (Latin rows) and every way counts once; otherwise rows are free
+    and a state with one row left counts last(k, cols).  Permuting the
+    positions and relabeling the colours of a state map its completions one
+    to one onto those of its image, and every `last` used here is invariant
+    under both.  So a state is memoized in `memo` on (depth, sorted masks)
     and, for free rows unless ``_relabeled`` finds the identity, on (depth,
     sorted masks of its relabeled image); either key found answers the
     state, and a count is stored under both.  In a Latin state every colour
@@ -182,36 +214,28 @@ def _count_rows(k: int, cols: list[int], depth: int, leaf, memo: dict) -> int:
     is not computed.
 
     Rows are drawn whole from the k! rows.  A Latin state's next rows are
-    the rows outside its clash set, the union of the row sets
-    hits[j][cols[j]] (``_row_sets``); its last two rows are counted from
+    its free rows (``_free_rows``); its last two rows are counted from
     that set alone: one row can be any of them, and a second row after row
-    i must also miss meet[i].  The last free row is one flat, lazy pass
-    over ``itertools.permutations`` that scores every full state on its own.
+    i must also miss meet[i].
     """
-    full = (1 << k) - 1
-    if depth == 0:
-        return 1 if leaf is None else leaf([full & ~m for m in cols])
     key = (depth, tuple(sorted(cols)))
     total = memo.get(key)
     if total is not None:
         return total
-    alias = None if leaf is None else _relabeled(k, cols)
+    alias = None if last is None else _relabeled(k, cols)
     if alias is not None:
         alias = (depth, alias)
         total = memo.get(alias)
         if total is not None:
             memo[key] = total
             return total
-    if leaf is None:
+    if last is None:
         total = _latin_count(k, cols, depth, memo)
     elif depth == 1:
-        unused = [full & ~m for m in cols]
-        others = [full ^ (1 << c) for c in range(k)]
-        rows = itertools.permutations(others)
-        total = sum(leaf(list(map(operator.and_, unused, row))) for row in rows)
+        total = last(k, cols)
     else:
         rows = itertools.permutations([1 << c for c in range(k)])
-        total = _append_each(k, cols, depth, leaf, memo, rows)
+        total = _append_each(k, cols, depth, last, memo, rows)
     memo[key] = total
     if alias is not None:
         memo[alias] = total

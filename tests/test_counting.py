@@ -86,10 +86,13 @@ def test_brute_force_counts_match_closed_forms():
 
 
 def test_brute_force_class_reduction_is_exact():
-    for d, k in ((2, 3), (3, 3), (3, 4)):
+    # the class path counts its last free row from row sets, the plain
+    # enumeration by one matching call per matrix
+    for d, k in ((2, 3), (3, 3), (3, 4), (3, 6), (4, 5), (5, 4), (6, 3)):
         plain = forbidden_count_brute(d, k, use_class_reduction=False)
         reduced = forbidden_count_brute(d, k, use_class_reduction=True)
         assert plain == reduced
+    assert forbidden_count_brute(3, 7) == 0  # the largest k served from row sets
 
 
 def _walked_conjugacy_classes(k: int) -> list:
@@ -168,21 +171,21 @@ def test_brute_force_asks_one_matching_question_per_matrix(monkeypatch):
 
 
 def test_brute_force_class_blocks_share_one_orbit_keyed_memo(monkeypatch):
-    # 4 x 5 judges the 5! full states below each of 93 depth-1 memo misses;
-    # a sorted-mask memo per block missed 575 times (69 000 matrices)
+    # 4 x 5 counts the last row of each of 93 depth-1 memo misses from row
+    # sets, with no matching call; a sorted-mask memo per block missed 575 times
     import packlab.counting as counting
 
-    calls = 0
-    real = counting.has_perfect_matching
+    calls = []
+    real = counting._dead_ends
 
-    def counter(adm):
-        nonlocal calls
-        calls += 1
-        return real(adm)
+    def counter(k, cols):
+        calls.append(k)
+        return real(k, cols)
 
-    monkeypatch.setattr(counting, "has_perfect_matching", counter)
+    monkeypatch.setattr(counting, "_dead_ends", counter)
+    monkeypatch.setattr(counting, "has_perfect_matching", lambda adm: pytest.fail("matching call"))
     assert forbidden_count_brute(4, 5) == 27374400
-    assert calls == 11160 < 69000 / 4
+    assert len(calls) == 93 < 575 / 4
 
 
 def test_brute_force_l1_matches_w_even():

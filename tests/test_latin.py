@@ -4,18 +4,20 @@ import random
 
 import pytest
 
+from packlab.counting import _matching_dead_ends
 from packlab.errors import ResourceLimitError
 from packlab.latin import (
     LATIN_SQUARE_COUNTS,
     REDUCED_LATIN_SQUARE_COUNTS,
     _count_rows,
+    _dead_ends,
     _relabeled,
     _row_sets,
     count_latin_rectangles,
     count_latin_squares,
     is_latin,
 )
-from packlab.packing import has_perfect_matching
+from packlab.packing import PackingMatrix, brute_force_extension, has_perfect_matching
 
 
 def test_is_latin_basics():
@@ -125,21 +127,21 @@ def test_rectangle_counts_of_order_six():
 # ---------------------------------------------------------------------------
 
 
-def _unextendable_leaf(k):
-    return lambda adm: 0 if has_perfect_matching(adm) else 1
-
-
-def _leaves(k):
-    """The leaves count_latin_rectangles (None: Latin rows) and forbidden_count_brute use."""
-    return (None, _unextendable_leaf(k))
+#: the last-row counts count_latin_rectangles (None: Latin rows) and
+#: forbidden_count_brute use (one matching call per matrix, or row sets)
+LASTS = (None, _matching_dead_ends, _dead_ends)
 
 
 def _relabel(mask: int, sigma) -> int:
     return sum(1 << sigma[c] for c in range(len(sigma)) if mask >> c & 1)
 
 
-def _plain_count_rows(k, cols, depth, leaf) -> int:
-    """_count_rows by visiting every tuple of `depth` rows, with no memo."""
+def _plain_count_rows(k, cols, depth, last) -> int:
+    """_count_rows by visiting every tuple of `depth` rows, with no memo.
+
+    With `last` None every Latin tuple counts; otherwise every tuple whose
+    full state has no perfect matching of its admissible masks.
+    """
     full = (1 << k) - 1
     total = 0
     for rows in itertools.product(itertools.permutations(range(k)), repeat=depth):
@@ -147,10 +149,10 @@ def _plain_count_rows(k, cols, depth, leaf) -> int:
         allowed = True
         for row in rows:
             for j, c in enumerate(row):
-                allowed = allowed and not (leaf is None and state[j] >> c & 1)
+                allowed = allowed and not (last is None and state[j] >> c & 1)
                 state[j] |= 1 << c
         if allowed:
-            total += 1 if leaf is None else leaf([full & ~used for used in state])
+            total += last is None or not has_perfect_matching([full & ~used for used in state])
     return total
 
 
@@ -165,13 +167,13 @@ def test_count_rows_invariant_under_relabeling_and_position_permutation(k, depth
         sigma = rng.sample(range(k), k)
         pi = rng.sample(range(k), k)
         image = [_relabel(cols[pi[j]], sigma) for j in range(k)]
-        for leaf in _leaves(k):
-            want = _plain_count_rows(k, cols, depth, leaf)
+        for last in LASTS:
+            want = _plain_count_rows(k, cols, depth, last)
             memo: dict = {}
-            assert _count_rows(k, list(cols), depth, leaf, memo) == want
+            assert _count_rows(k, list(cols), depth, last, memo) == want
             # the shared memo may answer the image from keys the state stored
-            assert _count_rows(k, list(image), depth, leaf, memo) == want
-            assert _count_rows(k, list(image), depth, leaf, {}) == want
+            assert _count_rows(k, list(image), depth, last, memo) == want
+            assert _count_rows(k, list(image), depth, last, {}) == want
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -220,10 +222,10 @@ def test_count_rows_keys_are_sorted_relabeled_images(k, depth):
     relabeled = 0
     for _ in range(6):
         cols = [rng.getrandbits(k) for _ in range(k)]
-        for leaf in _leaves(k):
+        for last in LASTS:
             memo = _ImageCheckingMemo(k, cols)
-            want = _plain_count_rows(k, cols, depth, leaf)
-            assert _count_rows(k, cols, depth, leaf, memo) == want
+            want = _plain_count_rows(k, cols, depth, last)
+            assert _count_rows(k, cols, depth, last, memo) == want
             relabeled += memo.relabeled
     assert relabeled > 0  # the relabeled keys were exercised, not only the plain ones
 
@@ -268,3 +270,69 @@ def test_row_sets_match_their_definitions(k):
             assert hits[j][m] == sum(1 << i for i, p in enumerate(perms) if m >> p[j] & 1)
     for i, p in enumerate(perms):
         assert meet[i] == sum(1 << h for h, q in enumerate(perms) if not _discordant(p, q))
+
+
+def _masks(k, rows):
+    """The column masks of rows over colours 1..k: bit c - 1 for colour c."""
+    cols = [0] * k
+    for row in rows:
+        for j, c in enumerate(row):
+            cols[j] |= 1 << (c - 1)
+    return cols
+
+
+def _oracle_dead_ends(k, rows) -> int:
+    """Last rows r for which brute_force_extension finds no extension of rows + (r,).
+
+    An extension already found for an earlier r is a row that avoids every
+    row of the state; when it also avoids r it extends rows + (r,) as well,
+    so r is settled without a scan.
+    """
+    found = []
+    dead = 0
+    for r in itertools.permutations(range(1, k + 1)):
+        if any(_discordant(e, r) for e in found):
+            continue
+        e = brute_force_extension(PackingMatrix(k, rows + (r,)))
+        if e is None:
+            dead += 1
+        else:
+            found.append(e)
+    return dead
+
+
+def _latin_square_state(rng, k, d):
+    """d - 1 rows whose columns at d random positions carry d - 1 rows of a
+    d x d Latin square on d random colours, the other colours anywhere
+    else: with 2d > k, every last row completing that square is a dead
+    end, since its d positions are left fewer than d colours."""
+    positions = rng.sample(range(k), d)
+    colours = rng.sample(range(1, k + 1), d)
+    others = [c for c in range(1, k + 1) if c not in colours]
+    shift = rng.sample(range(d), d)
+    rows = []
+    for i in range(d - 1):
+        row = rng.sample(others, len(others))
+        for j in range(k):
+            if j in positions:
+                row.insert(j, colours[(shift[i] + positions.index(j)) % d])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_dead_ends_match_brute_force_extension(k):
+    # _dead_ends against an oracle that shares nothing with either kernel:
+    # random states of 1 .. k rows, and a state carrying part of a Latin
+    # square, which has dead ends at every k
+    rng = random.Random(300 + k)
+    perms = list(itertools.permutations(range(1, k + 1)))
+    n_random = 8 if k < 7 else 1
+    states = [tuple(rng.choice(perms) for _ in range(rng.randint(1, k))) for _ in range(n_random)]
+    states.append(_latin_square_state(rng, k, k // 2 + 1))
+    counts = []
+    for rows in states:
+        want = _oracle_dead_ends(k, rows)
+        assert _dead_ends(k, _masks(k, rows)) == want, rows
+        counts.append(want)
+    assert counts[-1] > 0

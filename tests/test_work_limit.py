@@ -15,6 +15,7 @@ import pytest
 import packlab.blocking as blocking
 import packlab.cases as cases
 import packlab.counting as counting
+import packlab.latin as latin
 import packlab.perms as perms
 import packlab.search as search
 from packlab.certificates import make_certificate, verify_certificate
@@ -256,6 +257,18 @@ def test_forbidden_count_charges_the_classes_once_they_are_listed(monkeypatch, s
     with pytest.raises(ResourceLimitError, match="forbidden count needs 152409600 steps"):
         counting.forbidden_count_brute(3, 10)
     assert charged == [3628800, 152409600]
+
+
+def test_forbidden_count_past_the_row_set_table_stays_on_matching_calls(monkeypatch, small_counts_only):
+    # the k = 8 row-set table, 40 320^2 bits, is over the work limit in
+    # words: (3, 8) is admitted as before and judges its matrices by
+    # matching calls (the first is the stubbed work step), never asking for it
+    real = latin._row_sets
+    monkeypatch.setattr(latin, "_row_sets", lambda k: pytest.fail(f"_row_sets({k})") if k >= 8 else real(k))
+    stub(monkeypatch, counting, "has_perfect_matching")
+    charged = record_charges(monkeypatch, counting)
+    assert admitted(lambda: counting.forbidden_count_brute(3, 8))
+    assert charged == [40320, 22 * 40320]  # 8!, then the 22 classes of S_8 at 8! each
 
 
 @pytest.mark.parametrize(
