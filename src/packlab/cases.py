@@ -33,7 +33,7 @@ from collections.abc import Iterator
 from .blocking import arrangements, min_cover_size
 from .covers import ListAssignment, make_assignment
 from .errors import ResourceLimitError, candidate_count, check_work
-from .packing import has_perfect_matching, list_masks
+from .packing import admissible_masks, has_perfect_matching
 
 #: the twelve reference matrices of the distinct-list types; rows are colour
 #: vectors, row sets are the three lists of the type
@@ -57,13 +57,17 @@ def check_case_matrix(rows: tuple[tuple[int, ...], ...], v_list) -> bool:
     """True iff some permutation of v_list is a derangement of every row.
 
     Hall check between the k positions and the k colours of v_list: colour c
-    is admissible at position s unless some row already has c there.
+    is admissible at position s unless some row already has c there: each
+    row colour blocks its position bit in v_list, or nothing when absent.
     """
     k = len(rows[0])
     colours = sorted(v_list)
     if len(colours) != k or any(len(r) != k for r in rows):
         raise ValueError("v_list and all rows must have the same size k")
-    return has_perfect_matching(list_masks(rows, colours))
+    if len(set(colours)) != k:
+        raise ValueError(f"v_list {colours} repeats a colour")
+    table = dict.fromkeys(itertools.chain(*rows), 0) | {c: 1 << p for p, c in enumerate(colours)}
+    return has_perfect_matching(admissible_masks(rows, k, [table] * len(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ module.  Each check is one loop over one two-sided view of the instance
 each colour of u_i meets, through the edge's matching in a cover and as
 itself in a list instance; the kind is read again only where a witness
 format or a rejection message differs.  The verifier shares only
-``perms`` and ``packing``: from the latter, the mask builders
-(``transported_masks``, ``list_masks``), ``has_perfect_matching`` and
-``lex_smallest_system``; its witness checks and colouring scan are its
-own.  From ``covers`` it takes only the instance types and their JSON
-parsing, from ``errors`` the work check and the deciders' step counts, so
-it admits every claim a decider could make.
+``perms`` and ``packing``: from the latter, the mask builder
+``admissible_masks``, ``has_perfect_matching`` and
+``lex_smallest_system``; its colour tables, witness checks and colouring
+scan are its own.  From ``covers`` it takes only the instance types and
+their JSON parsing, from ``errors`` the work check and the deciders' step
+counts, so it admits every claim a decider could make.
 
 The serialized form is JSON with a fixed field order, produced by
 ``to_canonical_json``; re-serializing a parsed certificate reproduces the
@@ -24,7 +24,6 @@ bytes exactly, so certificates diff cleanly under version control.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import operator
@@ -34,12 +33,7 @@ from typing import NamedTuple
 from . import __version__
 from .covers import CorrespondenceCover, ListAssignment, int_array
 from .errors import MalformedInputError, check_work, colouring_scan_steps, packing_scan_steps
-from .packing import (
-    has_perfect_matching,
-    lex_smallest_system,
-    list_masks,
-    transported_masks,
-)
+from .packing import admissible_masks, has_perfect_matching, lex_smallest_system
 from .perms import identity, perm_from_str, perm_to_str
 
 CLAIMS = ("no_k_packing", "packing_witness", "no_k_colouring", "colouring_witness")
@@ -301,18 +295,21 @@ def _verify_no_packing(sides: _Sides) -> VerifyResult:
     """Exhaust all candidates on U; accept iff every one fails at some vertex of V.
 
     Candidates arrange each U colour set, the first pinned in ascending
-    order (relabeling the k colourings permutes rows simultaneously).  The
-    lex-smallest extensions are only built for a survivor, as evidence.
+    order (relabeling the k colourings permutes rows simultaneously).  At
+    v_j each colour of u_i blocks the v_j colour it meets, if v_j has it.
+    The lex-smallest extensions are only built for a survivor, as evidence.
     """
     first, *rest = sides.u
-    if sides.cover:  # the matchings carry each row onto {1..k}
-        masks_at, targets = functools.partial(transported_masks, k=len(first)), sides.columns
-    else:
-        masks_at, targets = list_masks, sides.v
+    tables = []
+    for colours, column in zip(sides.v, sides.columns):
+        bit = {c: 1 << p for p, c in enumerate(colours)}
+        tables.append(
+            [{c: bit.get(m, 0) for c, m in zip(u, meets)} for u, meets in zip(sides.u, column)]
+        )
     for rest_rows in itertools.product(*map(itertools.permutations, rest)):
         rows, adms = (first,) + rest_rows, []
-        for target in targets:
-            adm = masks_at(rows, target)
+        for vertex in tables:
+            adm = admissible_masks(rows, len(first), vertex)
             if not has_perfect_matching(adm):
                 break
             adms.append(adm)

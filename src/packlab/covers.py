@@ -10,6 +10,9 @@ List-assignments give each vertex an arbitrary k-set of colours; a packing
 arranges every list so that across each edge no colour sits at the same
 position twice.  List instances are decided and verified on their own
 colours, never through a cover.
+
+Both reach ``packing.admissible_masks`` as colour tables: at v_j colour c
+of u_i blocks sigma[i][j](c) in a cover, its place in v_j's list in a list.
 """
 
 from __future__ import annotations

@@ -8,16 +8,18 @@ is a perfect-matching question on the bipartite graph between positions and
 colours where colour c is admissible at position j iff no row has c at j;
 everything in this module reduces to that matching problem.
 
-This module is the only place that turns rows into admissible masks
-(plain, transported through per-row matchings, or over a colour list) and
-masks into an extension.  The independent verifier in ``certificates``
-shares these builders and the matching engine, and nothing else beyond
-``perms``.
+This module is the only place that turns rows into admissible masks (one
+builder for plain matrices, covers and lists, fed per-row colour tables)
+and masks into an extension.  The independent verifier in
+``certificates`` shares this builder and the matching engine, and nothing
+else beyond ``perms``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import repeat
 
 from .perms import Perm, is_permutation
 
@@ -68,39 +70,25 @@ class ObstructionReport:
 # ---------------------------------------------------------------------------
 
 
-def admissible_masks(rows: tuple[Perm, ...], k: int) -> list[int]:
-    """Per-position bitmask of the colours no row uses at that position."""
-    adm = [(1 << k) - 1] * k
-    for row in rows:
-        for j in range(k):
-            adm[j] &= ~(1 << (row[j] - 1))
-    return adm
+def admissible_masks(rows, k: int, tables=None) -> list[int]:
+    """Per-position bitmask of the colours no row blocks at that position.
 
-
-def transported_masks(rows, matchings, k: int) -> list[int]:
-    """admissible_masks of the rows seen through per-row matchings.
-
-    Row i puts colour matchings[i][c-1] wherever it has c, so this equals
-    admissible_masks of the rows compose(matchings[i], rows[i]).
+    tables[i][c] is the bit that colour c of row i blocks: by default bit
+    c-1, bit sigma(c)-1 through an edge's matching sigma, the position bit
+    of c in the vertex's list (0 when c is not in it) for a list instance.
     """
     adm = [(1 << k) - 1] * k
-    for matching, row in zip(matchings, rows):
-        for j in range(k):
-            adm[j] &= ~(1 << (matching[row[j] - 1] - 1))
+    for row, table in zip(rows, tables or repeat(_unit_table(k))):
+        j = 0  # kept by hand: faster than enumerate on the count path
+        for c in row:
+            adm[j] &= ~table[c]
+            j += 1
     return adm
 
 
-def list_masks(rows, colours) -> list[int]:
-    """Masks over a colour list: bit idx is set at position j iff
-    colours[idx] is absent from column j of the rows."""
-    bits: dict[int, int] = {}
-    for idx, c in enumerate(colours):
-        bits[c] = bits.get(c, 0) | 1 << idx
-    adm = [(1 << len(colours)) - 1] * len(rows[0])
-    for row in rows:
-        for j, c in enumerate(row):
-            adm[j] &= ~bits.get(c, 0)
-    return adm
+@functools.cache
+def _unit_table(k: int) -> tuple[int, ...]:
+    return (0,) + tuple(1 << c for c in range(k))
 
 
 def _perfect(adm: list[int]) -> dict[int, int] | None:

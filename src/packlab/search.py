@@ -6,7 +6,8 @@ on U extends independently at every v_j.  Relabeling the k colourings
 simultaneously permutes all colour vectors the same way, so the first U
 vector may be pinned (to the identity in a cover, to ascending order in a
 list instance); both packing deciders therefore scan (k!)^(d-1) candidates
-in one loop and run one matching check per vertex of V.
+in one loop and run one matching check per vertex of V, on colour tables
+built once per vertex.
 
 Cover constructions and the exhaustive cover scans behind chi_c and chi_c*
 work in the same reduced space; the scans try the union bound first, then
@@ -15,7 +16,6 @@ call ``blocking``, which builds the column masks and solves the set covers.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ from .errors import (
     colouring_scan_steps,
     packing_scan_steps,
 )
-from .packing import has_perfect_matching, lex_smallest_system, list_masks, transported_masks
+from .packing import admissible_masks, has_perfect_matching, lex_smallest_system
 from .perms import identity
 
 
@@ -89,17 +89,17 @@ class SearchBudget:
 # ---------------------------------------------------------------------------
 
 
-def _first_packing(candidates, masks_at, columns):
+def _first_packing(candidates, tables, k: int):
     """The first candidate U rows that extend at every vertex of V, or None.
 
-    masks_at(rows, column) builds the admissible masks at the vertex whose
-    matchings (or colour list) are ``column``.  Returns the rows and the
+    tables[j] holds the colour tables (``admissible_masks``) of the U rows
+    at the j-th vertex of V.  Returns the rows and the
     ``lex_smallest_system`` of the masks at each vertex.
     """
     for rows in candidates:
         all_adm: list[list[int]] = []
-        for column in columns:
-            adm = masks_at(rows, column)
+        for vertex in tables:
+            adm = admissible_masks(rows, k, vertex)
             if not has_perfect_matching(adm):
                 break
             all_adm.append(adm)
@@ -120,8 +120,8 @@ def decide_correspondence_packing(cover: CorrespondenceCover) -> PackingWitness 
     d, t, k = cover.d, cover.t, cover.k
     check_work(packing_scan_steps(d, t, k), "packing decision")
     candidates = arrangements((identity(k),) * d)
-    columns = [cover.column(j) for j in range(t)]
-    found = _first_packing(candidates, functools.partial(transported_masks, k=k), columns)
+    tables = [[(0,) + tuple(1 << (s - 1) for s in m) for m in cover.column(j)] for j in range(t)]
+    found = _first_packing(candidates, tables, k)
     if found is None:
         return None
     u_rows, v_rows = found
@@ -136,8 +136,11 @@ def decide_list_packing(assignment: ListAssignment) -> PackingWitness | None:
     like the cover decider.  Row i of each side of the witness is an
     arrangement of that vertex's own list.
     """
-    check_work(packing_scan_steps(assignment.a, assignment.b, assignment.k), "packing decision")
-    found = _first_packing(arrangements(assignment.u_lists), list_masks, assignment.v_lists)
+    a, k, u_lists = assignment.a, assignment.k, assignment.u_lists
+    check_work(packing_scan_steps(a, assignment.b, k), "packing decision")
+    absent = dict.fromkeys(itertools.chain(*u_lists), 0)
+    tables = [[absent | {c: 1 << p for p, c in enumerate(v)}] * a for v in assignment.v_lists]
+    found = _first_packing(arrangements(u_lists), tables, k)
     if found is None:
         return None
     u_rows, positions = found

@@ -134,6 +134,9 @@ def test_check_case_matrix_basics():
     assert check_case_matrix(CASE_MATRICES[1], (8, 9, 10))
     with pytest.raises(ValueError):
         check_case_matrix(CASE_MATRICES[1], (1, 2))
+    # a list that repeats a colour is refused, not read as a second colour
+    with pytest.raises(ValueError, match="repeats a colour"):
+        check_case_matrix(((1, 2, 3), (2, 3, 1)), (1, 1, 4))
 
 
 def test_reference_matrices_1_to_5_extend_for_every_list():

@@ -6,8 +6,9 @@ implies (and its rejection of the opposite claim), and a plain scan of
 every U matrix, first row included, that asks ``brute_force_extension``
 (covers) or a colour-space scan (lists) at each vertex.
 
-The list decider's witnesses are pinned too: the a10 rows, and one digest
-over the witnesses of a seeded batch of random assignments.
+The deciders' witnesses are pinned too: the a10 rows, and one digest each
+over the witnesses of a seeded batch of random covers and of random
+assignments.
 
 The colouring claims get the same treatment (a no_k_colouring verdict
 against the cover decider or a plain colour-space scan), and one digest
@@ -27,7 +28,7 @@ from packlab.certificates import (
     witness_dict_for_cover,
     witness_dict_for_lists,
 )
-from packlab.covers import CorrespondenceCover
+from packlab.covers import CorrespondenceCover, ListAssignment
 from packlab.errors import MalformedInputError
 from packlab.packing import PackingMatrix, brute_force_extension
 from packlab.perms import compose
@@ -86,19 +87,38 @@ def test_covers_decider_verifier_and_plain_scan_agree():
     assert {(True, True), (True, False)} <= verdicts
 
 
+def lists_agree(assignment) -> bool:
+    """Assert the list decider, the verifier and the plain scan agree; the verdict."""
+    witness = decide_list_packing(assignment)
+    packable = list_packing_oracle(assignment)
+    claim_ok, no_packing_ok = verifier_verdicts(assignment, witness, witness_dict_for_lists)
+    assert (witness is not None) == packable, assignment
+    assert claim_ok and no_packing_ok == (not packable), assignment
+    return packable
+
+
 def test_lists_decider_verifier_and_plain_scan_agree():
     rng = random.Random(2025)
     verdicts = set()
     for _ in range(150):
         a, b, k = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
-        assignment = random_assignment(rng, a, b, k, range(1, k + 3))
-        witness = decide_list_packing(assignment)
-        packable = list_packing_oracle(assignment)
-        claim_ok, no_packing_ok = verifier_verdicts(assignment, witness, witness_dict_for_lists)
-        assert (witness is not None) == packable, assignment
-        assert claim_ok and no_packing_ok == (not packable), assignment
+        packable = lists_agree(random_assignment(rng, a, b, k, range(1, k + 3)))
         verdicts.add((k >= 2, packable))
     assert {(True, True), (True, False)} <= verdicts
+    # colours far past k, and V colours that no U list holds: colour tables
+    # must be keyed by colour, not indexed by its value
+    rng = random.Random(2027)
+    verdicts, foreign = set(), 0
+    for _ in range(80):
+        a, b, k = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+        u_side = random_assignment(rng, a, 1, k, [1, 2, 10**9, 10**9 + 1][: k + 1])
+        v_side = random_assignment(rng, 1, b, k, [1, 2, 7, 10**9, 10**9 + 2])
+        assignment = ListAssignment(k=k, u_lists=u_side.u_lists, v_lists=v_side.v_lists)
+        verdicts.add((k >= 2, lists_agree(assignment)))
+        u_colours = set(itertools.chain(*assignment.u_lists))
+        foreign += any(set(lst) - u_colours for lst in assignment.v_lists)
+    assert {(True, True), (True, False)} <= verdicts
+    assert foreign > 40
 
 
 def test_a10_list_witness_pinned():
@@ -122,6 +142,20 @@ def test_list_witnesses_pinned():
     assert sum(w is not None for w in dicts) == 381
     digest = hashlib.sha256(json.dumps(dicts).encode()).hexdigest()
     assert digest == "37489501ef4039aa7aa533956df67afa4540649ec7d688c939ea5360ffec118f"
+
+
+def test_cover_witnesses_pinned():
+    rng = random.Random(0xC0DE5)
+    dicts = []
+    for _ in range(400):
+        d, t, k = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 4)
+        witness = decide_correspondence_packing(random_cover(rng, d, t, k))
+        dicts.append(
+            None if witness is None else witness_dict_for_cover(witness.u_rows, witness.v_rows)
+        )
+    assert sum(w is not None for w in dicts) == 225
+    digest = hashlib.sha256(json.dumps(dicts).encode()).hexdigest()
+    assert digest == "7bf79e57e9ada9f437967827894a3acea02c24ece40689bd7314d0b0c2e4825b"
 
 
 def plain_list_colouring(assignment):

@@ -13,8 +13,6 @@ from packlab.packing import (
     has_perfect_matching,
     is_forbidden,
     lex_smallest_system,
-    list_masks,
-    transported_masks,
 )
 from packlab.perms import all_permutations, compose, identity, is_derangement_of
 
@@ -181,13 +179,20 @@ def test_mask_builders_match_references():
     for _ in range(300):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
         k = m.k
+        columns = [{row[j] for row in m.rows} for j in range(k)]
+        # default tables: bit c - 1 iff colour c is absent from the column
+        assert admissible_masks(m.rows, k) == [
+            sum(1 << (c - 1) for c in range(1, k + 1) if c not in column) for column in columns
+        ]
+        # a cover's tables: the rows seen through per-row matchings
         matchings = [random_matrix(rng, 1, k).rows[0] for _ in range(m.d)]
         composed = tuple(compose(s, row) for s, row in zip(matchings, m.rows))
-        assert transported_masks(m.rows, matchings, k) == admissible_masks(composed, k)
-        # list masks: bit idx iff colours[idx] is absent from the column
+        tables = [(0,) + tuple(1 << (s - 1) for s in matching) for matching in matchings]
+        assert admissible_masks(m.rows, k, tables) == admissible_masks(composed, k)
+        # a list's table: bit idx iff colours[idx] is absent from the column
         colours = sorted(rng.sample(range(1, 2 * k + 1), k))
-        columns = [{row[j] for row in m.rows} for j in range(k)]
-        assert list_masks(m.rows, colours) == [
+        table = {c: 1 << colours.index(c) if c in colours else 0 for c in range(1, k + 1)}
+        assert admissible_masks(m.rows, k, [table] * m.d) == [
             sum(1 << idx for idx, c in enumerate(colours) if c not in column)
             for column in columns
         ]
