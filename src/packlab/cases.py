@@ -24,16 +24,14 @@ coverable by one list per target.  The fold-4 ceiling behind
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from collections.abc import Iterator
 
 from .blocking import arrangements, min_cover_size
 from .covers import ListAssignment, make_assignment
 from .errors import ResourceLimitError, candidate_count, check_work
-from .packing import admissible_masks, has_perfect_matching
+from .packing import admissible_masks, hall_violators, has_perfect_matching
 
 #: the twelve reference matrices of the distinct-list types; rows are colour
 #: vectors, row sets are the three lists of the type
@@ -169,9 +167,9 @@ def _colour_bits(colours) -> int:
 
 
 def _hall_cuts(rows) -> set[tuple[int, int]]:
-    """Hall cuts of an arrangement: pairs (I_J, need = k - |J| + 1) with
-    |I_J| >= need, where I_J is the bitmask of the colours common to the
-    columns of a nonempty slot set J.
+    """Hall cuts of an arrangement: pairs (I_J, need = k - |J| + 1), one per
+    Hall violator of its columns (``hall_violators``), where I_J is the
+    bitmask of the colours common to the columns of the slot set J.
 
     By Hall's theorem a k-list L admits no permutation deranging every row
     iff, for some J, fewer than |J| of its colours (L ∖ I_J) are admissible
@@ -179,14 +177,7 @@ def _hall_cuts(rows) -> set[tuple[int, int]]:
     """
     k = len(rows[0])
     cols = [_colour_bits(row[s] for row in rows) for s in range(k)]
-    cuts = set()
-    for size in range(1, k + 1):
-        need = k - size + 1
-        for subset in itertools.combinations(cols, size):
-            inter = functools.reduce(operator.and_, subset)
-            if inter.bit_count() >= need:
-                cuts.add((inter, need))
-    return cuts
+    return {(shared, k - len(slots) + 1) for slots, shared in hall_violators(cols)}
 
 
 def _packing_cuts(u_lists) -> tuple[list, Iterator[set[tuple[int, int]]]]:

@@ -3,13 +3,15 @@
 Exit codes: 0 when the requested claim holds or the computation completed
 and agrees, 1 when a claim was refuted or a reproduction item mismatched
 (for hunt: the budget ran out without a cover), 2 on resource limits or
-malformed input.
+malformed input, 141 (128 + SIGPIPE) when the reader of stdout has gone.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import cases, counting, latin, search
@@ -44,8 +46,6 @@ def _timestamp() -> str:
 
 
 def _cmd_latin(args) -> int:
-    if args.latin_cmd != "count":
-        raise PackLabError(f"unknown latin subcommand {args.latin_cmd!r}")
     value = latin.count_latin_squares(args.n)
     _emit(args, [str(value)], {"n": args.n, "count": value})
     return 0
@@ -217,6 +217,7 @@ def _cmd_reproduce(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache  # one parser per process: each build is ~455 objects of cyclic garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="packlab",
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = latin_sub.add_parser("count", help="exact number of Latin squares of order n")
     pc.add_argument("--n", type=int, required=True)
     add_common(pc)
-    pc.set_defaults(func=_cmd_latin, latin_cmd="count")
+    pc.set_defaults(func=_cmd_latin)
 
     p = sub.add_parser("forbidden-count", help="count unextendable d x k packing matrices")
     p.add_argument("--d", type=int, required=True)
@@ -297,14 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except PackLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader has gone, not the input; the exit flush writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (PackLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

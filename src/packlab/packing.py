@@ -10,16 +10,20 @@ everything in this module reduces to that matching problem.
 
 This module is the only place that turns rows into admissible masks (one
 builder for plain matrices, covers and lists, fed per-row colour tables)
-and masks into an extension.  The independent verifier in
-``certificates`` shares this builder and the matching engine, and nothing
-else beyond ``perms``.
+and masks into an extension.  ``hall_violators`` is the one enumerator of
+the position sets that block every extension, behind the obstruction
+shapes, the Latin witnesses and the list cuts of ``cases``.  The
+independent verifier in ``certificates`` shares the builder and the
+matching engine, and nothing else beyond ``perms``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 
 from .perms import Perm, is_permutation
 
@@ -78,7 +82,7 @@ def admissible_masks(rows, k: int, tables=None) -> list[int]:
     of c in the vertex's list (0 when c is not in it) for a list instance.
     """
     adm = [(1 << k) - 1] * k
-    for row, table in zip(rows, tables or repeat(_unit_table(k))):
+    for row, table in zip(rows, tables or itertools.repeat(_unit_table(k))):
         j = 0  # kept by hand: faster than enumerate on the count path
         for c in row:
             adm[j] &= ~table[c]
@@ -188,15 +192,36 @@ def is_forbidden(matrix: PackingMatrix) -> bool:
     return not has_perfect_matching(admissible_masks(matrix.rows, matrix.k))
 
 
+def hall_violators(cols: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(J, I_J) for every Hall violator J among k = len(cols) positions.
+
+    cols[j] is the bitmask of the colours position j may not receive.  J
+    runs over the nonempty 0-based position sets by size, then in
+    ``itertools.combinations`` order; it violates when I_J, the AND of its
+    cols, has more than k - |J| bits (fewer than |J| colours admissible).
+    """
+    k = len(cols)
+    for size in range(1, k + 1):
+        for positions in itertools.combinations(range(k), size):
+            shared = functools.reduce(operator.and_, map(cols.__getitem__, positions))
+            if shared.bit_count() > k - size:
+                yield positions, shared
+
+
+def _colour_columns(matrix: PackingMatrix) -> list[int]:
+    """Per position, the bitmask of the colours some row has there (bit c-1)."""
+    return [sum({1 << c - 1 for c in column}) for column in zip(*matrix.rows)]
+
+
 def classify_obstructions(matrix: PackingMatrix) -> ObstructionReport:
     """Maximal Hall violator of a forbidden d x (2d-2) matrix.
 
-    Scans all position subsets (k <= 2d-2 is small) and reports the
-    deepest violator: maximum deficiency |A| - |N(A)| first, then the
-    smallest position set, ties broken lexicographically.  Preferring the
-    smaller set among equal deficiencies keeps the classification aligned
-    with the inclusion-exclusion count of the closed form: a matrix whose
-    d-1 positions span only d values classifies as (d-1, d-2) even when
+    Reports the deepest of ``hall_violators``: maximum deficiency
+    |J| - |N(J)| first, then the smallest position set, ties broken
+    lexicographically (the first yielded).  Preferring the smaller set
+    among equal deficiencies keeps the classification aligned with the
+    inclusion-exclusion count of the closed form: a matrix whose d-1
+    positions span only d values classifies as (d-1, d-2) even when
     padding a fourth position also yields a (d, d-1)-shaped violator.
     The resulting kind is one of (d-1, d-2), (d, d-2), (d, d-1).
     """
@@ -206,29 +231,18 @@ def classify_obstructions(matrix: PackingMatrix) -> ObstructionReport:
     if not is_forbidden(matrix):
         raise ValueError("matrix is extendable; no obstruction to classify")
 
-    adm = admissible_masks(matrix.rows, k)
-    best: tuple[int, int, tuple[int, ...], int] | None = None
-    for subset in range(1, 1 << k):
-        positions = tuple(j + 1 for j in range(k) if subset >> j & 1)
-        nbhd = 0
-        for j in range(k):
-            if subset >> j & 1:
-                nbhd |= adm[j]
-        deficiency = len(positions) - nbhd.bit_count()
-        if deficiency <= 0:
-            continue
-        key = (-deficiency, len(positions), positions, nbhd)
-        if best is None or key < best:
-            best = key
-    if best is None:
+    violators = hall_violators(_colour_columns(matrix))
+    # -deficiency is k - |J| - |I_J|; min keeps the first of equal keys
+    deepest = min(violators, key=lambda v: k - len(v[0]) - v[1].bit_count(), default=None)
+    if deepest is None:
         raise AssertionError("a forbidden matrix has no Hall violator")
-    _, _, positions, nbhd = best
-    colours = tuple(c + 1 for c in range(k) if nbhd >> c & 1)
+    positions, shared = deepest
+    colours = tuple(c + 1 for c in range(k) if not shared >> c & 1)
     kind = (len(positions), len(colours))
     legal = {(d - 1, d - 2), (d, d - 2), (d, d - 1)}
     if kind not in legal:
         raise AssertionError(f"unexpected obstruction shape {kind} for d={d}")
-    return ObstructionReport(kind=kind, positions=positions, colours=colours)
+    return ObstructionReport(kind=kind, positions=tuple(j + 1 for j in positions), colours=colours)
 
 
 def forbidden_witness_latin_structure(
@@ -244,8 +258,8 @@ def forbidden_witness_latin_structure(
     matrices whose obstruction involves d-1 positions sharing d colours;
     absent for purely (d, d-1)-obstructed ones).
 
-    Returns the lexicographically first witness found, scanning position
-    subsets in sorted order; None when no such subarray exists.
+    Witnesses are the Hall violators of that size with |I_J| = d (as
+    k - |J| + 1 = d), each column of J then being C.  Returns the first.
     """
     d, k = matrix.d, matrix.k
     if k == 2 * d - 1:
@@ -255,19 +269,10 @@ def forbidden_witness_latin_structure(
     else:
         raise ValueError(f"need k = 2d-1 or k = 2d-2, got d={d}, k={k}")
 
-    import itertools
-
-    for J in itertools.combinations(range(1, k + 1), size_j):
-        values: set[int] = set()
-        ok = True
-        for j in J:
-            entries = {row[j - 1] for row in matrix.rows}
-            if len(entries) != d:
-                ok = False
-                break
-            values |= entries
-        if ok and len(values) == d:
-            return (tuple(sorted(values)), J)
+    for positions, shared in hall_violators(_colour_columns(matrix)):
+        if len(positions) == size_j and shared.bit_count() == d:
+            colours = tuple(c + 1 for c in range(k) if shared >> c & 1)
+            return colours, tuple(j + 1 for j in positions)
     return None
 
 
@@ -276,8 +281,6 @@ def brute_force_extension(matrix: PackingMatrix) -> Perm | None:
 
     Shares no machinery with the matching engine; used to cross-check it.
     """
-    import itertools
-
     k = matrix.k
     column_sets = [{row[j] for row in matrix.rows} for j in range(k)]
     for candidate in itertools.permutations(range(1, k + 1)):

@@ -1,7 +1,12 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import packlab
 from packlab.certificates import save_json
 from packlab.cli import main
 from packlab.covers import k22_unpackable_cover, standard_cover
@@ -17,6 +22,38 @@ def test_latin_count(capsys):
     code, out, _ = run(capsys, "latin", "count", "--n", "5")
     assert code == 0
     assert out.strip() == "161280"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # a reader that has gone is no input error: exit 128 + SIGPIPE, nothing on stderr
+    src = os.path.dirname(os.path.dirname(packlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # the error comes at a print, not at the final flush
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "packlab.cli", "latin", "count", "--n", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_second_call_leaves_no_cyclic_garbage(capsys):
+    run(capsys, "latin", "count", "--n", "3")
+    gc.collect()
+    gc.disable()
+    try:
+        run(capsys, "latin", "count", "--n", "3")
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 def test_latin_count_structured(capsys):

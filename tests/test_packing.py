@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from packlab.blocking import arrangements
+from packlab.cases import _hall_cuts, enumerate_triple_types
 from packlab.packing import (
     PackingMatrix,
     admissible_masks,
@@ -10,6 +13,7 @@ from packlab.packing import (
     classify_obstructions,
     find_common_derangement,
     forbidden_witness_latin_structure,
+    hall_violators,
     has_perfect_matching,
     is_forbidden,
     lex_smallest_system,
@@ -32,6 +36,27 @@ def random_matrix(rng, d, k):
         row = list(range(1, k + 1))
         rng.shuffle(row)
         rows.append(tuple(row))
+    return PackingMatrix(k=k, rows=tuple(rows))
+
+
+def planted_matrix(rng, d, k):
+    """A random d x k matrix whose columns at s random positions all hold the
+    same m colours: s columns of a shifted cyclic d x d Latin square whose
+    symbols below m are shared colours, every other cell filled at random."""
+    s, m = rng.randint(1, d), rng.randint(1, d)
+    colours = rng.sample(range(1, k + 1), k)
+    positions = rng.sample(range(k), k)
+    shift = rng.sample(range(d), d)
+    rows = []
+    for i in range(d):
+        row = [0] * k
+        for t in range(s):
+            x = (shift[i] + t) % d
+            if x < m:
+                row[positions[t]] = colours[x]
+        rest = [c for c in colours if c not in row]
+        rng.shuffle(rest)
+        rows.append(tuple(c or rest.pop() for c in row))
     return PackingMatrix(k=k, rows=tuple(rows))
 
 
@@ -277,6 +302,53 @@ def test_latin_witness_k_even_mode():
     assert forbidden_witness_latin_structure(REF_43) is None
     with pytest.raises(ValueError):
         forbidden_witness_latin_structure(PackingMatrix(k=4, rows=((1, 2, 3, 4), (2, 1, 4, 3))))
+
+
+def test_hall_violators_match_their_definition():
+    """J is yielded iff the admissible colours of J (the OR of full & ~cols[j])
+    number fewer than |J|, by size and then in combinations order."""
+    rng = random.Random(32)
+    found = 0
+    for k in range(1, 8):
+        full = (1 << k) - 1
+        for _ in range(60):
+            adm = [full] * k  # each the AND of 1..3 random masks, so violators occur
+            for _ in range(rng.randint(1, 3)):
+                adm = [a & rng.getrandbits(k) for a in adm]
+            cols = [full & ~a for a in adm]
+            expected = []
+            for size in range(1, k + 1):
+                for positions in itertools.combinations(range(k), size):
+                    reach = 0
+                    for j in positions:
+                        reach |= full & ~cols[j]
+                    if reach.bit_count() < size:
+                        expected.append((positions, full & ~reach))
+            assert list(hall_violators(cols)) == expected, cols
+            found += len(expected)
+    assert found > 1000
+
+
+def test_violator_views_pinned():
+    """One digest over the obstruction shapes, the Latin witnesses and the
+    Hall cuts of seeded planted matrices (d = 3, 4, 5; k = 2d-2, 2d-1) and
+    of 200 seeded arrangements of every triple type for k <= 4."""
+    rng = random.Random(32)
+    h = hashlib.sha256()
+    for d, count in ((3, 600), (4, 600), (5, 150)):
+        for k in (2 * d - 2, 2 * d - 1):
+            for _ in range(count):
+                m = planted_matrix(rng, d, k)
+                h.update(repr(forbidden_witness_latin_structure(m)).encode())
+                h.update(repr(sorted(_hall_cuts(m.rows))).encode())
+                if k == 2 * d - 2 and is_forbidden(m):
+                    h.update(repr(classify_obstructions(m)).encode())
+    for k in range(1, 5):
+        for triple in enumerate_triple_types(k, allow_repeats=True):
+            candidates = list(arrangements(triple))
+            for rows in rng.sample(candidates, min(200, len(candidates))):
+                h.update(repr(sorted(_hall_cuts(rows))).encode())
+    assert h.hexdigest() == "13db736615fec02ab937140697f9a8184cc337f6bfe2a2739858cfc1bef6cf18"
 
 
 def test_forbiddenness_symmetries():
