@@ -10,9 +10,13 @@ chosen masks jointly cover every candidate.
 
 Both mask families are group translates: column c blocks candidate x iff
 c·x lands in a fixed base set B (the unextendable matrices, resp. the
-surjective colourings), so mask_c = {c⁻¹·b : b ∈ B}.  Building them costs
-|columns| · min(|B|, |candidates ∖ B|) steps instead of |columns| ·
-|candidates|.
+surjective colourings), so mask_c = {c⁻¹·b : b ∈ B}.  With B' the
+smaller of B and its complement, each mask is a sum of rows, one per
+distinct head (leading coordinates) of B', shifted into place; the rows
+hold B' translated on the remaining tail coordinates, built once per tail
+translation.  That costs about |B'| · (tail translations) + |columns| ·
+(heads of B') steps, the tail chosen to make it least, instead of
+|columns| · |B'| single bits, or |columns| · |candidates| tests.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import operator
 import random
 import time
+from collections import Counter
 from collections.abc import Iterator, Sequence
 
 from .covers import CorrespondenceCover
@@ -56,29 +62,65 @@ def _translate_masks(actions: list[list[list[int]]], members: list[bool]) -> lis
     """mask_c = {x : c·x ∈ B} for every option tuple c, in product order.
 
     Candidates are digit tuples in product order; ``actions[i][a][x]`` is
-    the digit that option a's inverse sends digit x to at coordinate i, and
-    ``members[x]`` tells whether candidate x lies in B.  The translates are
-    taken of B or, when smaller, of its complement.
+    the digit that option a's inverse sends digit x to at coordinate i (a
+    permutation of the digits), and ``members[x]`` tells whether candidate
+    x lies in B.  The translates are taken of B or, when smaller, of its
+    complement.
+
+    The coordinates split into a head and a tail, the last ``a`` ones.
+    For each tail option tuple, one row per distinct head h of the base
+    holds the translated tail bits of the base members under h.  A head
+    option tuple sends h to a distinct block of radix^a bits, so the mask
+    is the sum of the rows, each shifted to its head's block.  The tail
+    length minimises |B| · (tail option tuples) row bits plus |masks| ·
+    (distinct heads) shifted rows; at a = 0 every row is one bit.
     """
-    size = len(members)
+    size, n = len(members), len(actions)
     radix = len(actions[0][0])
     inside = 2 * sum(members) <= size
     flip = 0 if inside else (1 << size) - 1
-    codes = itertools.product(range(radix), repeat=len(actions))
+    codes = itertools.product(range(radix), repeat=n)
     base = [x for x, member in zip(codes, members) if member == inside]
-    weights = [radix ** (len(actions) - 1 - i) for i in range(len(actions))]
-    # per coordinate and option: the weighted digit of a⁻¹·b_i for every b in base
+    head = n - _tail_length(actions, base)
+    # base is in product order, so the members under one head are contiguous
+    under = Counter(b[:head] for b in base)
+    bounds = [0, *itertools.accumulate(under.values())]
+    weights = [radix ** (n - 1 - i) for i in range(n)]
+    rows = []  # per tail option tuple: the row of each head
+    for idx in _translated(actions[head:], weights[head:], [b[head:] for b in base]):
+        bits = [1 << x for x in idx]
+        rows.append([sum(bits[lo:hi]) for lo, hi in itertools.pairwise(bounds)])
+    return [
+        sum(map(operator.lshift, tail, shifts)) ^ flip
+        for shifts in _translated(actions[:head], weights[:head], list(under))
+        for tail in rows
+    ]
+
+
+def _tail_length(actions: list[list[list[int]]], base: list[tuple[int, ...]]) -> int:
+    """The tail length a of ``_translate_masks``: the least cost |B| · (tail
+    option tuples) + |masks| · (distinct heads), the first a on ties."""
+    n, n_masks = len(actions), math.prod(map(len, actions))
+    return min(
+        range(n + 1),
+        key=lambda a: len(base) * math.prod(map(len, actions[n - a :]))
+        + n_masks * len({b[: n - a] for b in base}),
+    )
+
+
+def _translated(
+    actions: list[list[list[int]]], weights: list[int], codes: list[tuple[int, ...]]
+) -> Iterator[list[int]]:
+    """For every option tuple over ``actions``, in product order, the weighted
+    index of each code, its digits moved by their options."""
+    # per coordinate and option: the weighted digit of a⁻¹·x_i for every code x
     parts = [
-        [[w * inv[b[i]] for b in base] for inv in options]
+        [[w * inv[x[i]] for x in codes] for inv in options]
         for i, (w, options) in enumerate(zip(weights, actions))
     ]
-    masks = []
+    zero = [0] * len(codes)
     for chosen in itertools.product(*parts):
-        mask = 0
-        for idx in map(sum, zip(*chosen)):
-            mask |= 1 << idx
-        masks.append(mask ^ flip)
-    return masks
+        yield list(map(sum, zip(zero, *chosen)))
 
 
 def packing_masks(d: int, k: int) -> list[int]:
@@ -238,10 +280,14 @@ def hill_climb_cover(
     additions of len(masks)-bit ints, not len(masks) popcounts of
     n_targets-bit ones, yet it still counts len(masks) evaluations; None
     once the evaluation budget would be exceeded or, checked before each
-    scan, the time limit has passed.  Without a time limit the outcome is
-    a function of the inputs alone.  One round's words, n_picks masks of
-    n_targets bits, are charged to the work limit before the state is
-    built.
+    scan, the time limit has passed.  A scan's outcome depends only on the
+    state and its pick, so once n_picks scans in a row replace nothing,
+    the state is a local minimum and the rest of the round would repeat
+    scans already made: their evaluations are charged in one step, with
+    the same budget check, and the round ends.  Without a time limit the
+    outcome is a function of the inputs alone.  One round's words, n_picks
+    masks of n_targets bits, are charged to the work limit before the
+    state is built.
     """
     if n_picks < 1:
         raise ValueError("need n_picks >= 1")  # no scan would ever check a limit
@@ -258,8 +304,8 @@ def hill_climb_cover(
     while True:
         state = [rng.randrange(nc) for _ in range(n_picks)]
         once, nowhere, floor = _tally(masks, state, full, covers)
+        calm = 0  # scans since the restart or the last replacement
         while True:
-            improved = False
             for v in range(n_picks):
                 if deadline is not None and time.monotonic() > deadline:
                     return None
@@ -272,11 +318,20 @@ def hill_climb_cover(
                         best &= plane
                 if not best >> state[v] & 1:
                     state[v] = (best & -best).bit_length() - 1
-                    improved = True
+                    calm = 0
                     once, nowhere, floor = _tally(masks, state, full, covers)
+                    continue
+                calm += 1
+                if calm == n_picks:
+                    # every pick was scanned in this state: charge the
+                    # repeats left in the round without making them
+                    evaluations += (n_picks - 1 - v) * nc
+                    if max_evals is not None and evaluations > max_evals:
+                        return None
+                    break
             if not nowhere:
                 return state
-            if not improved:
+            if calm == n_picks:
                 break  # local minimum: restart
 
 

@@ -280,10 +280,11 @@ def brute_force_extension(matrix: PackingMatrix) -> Perm | None:
     """Independent oracle: scan all k! permutations in lexicographic order.
 
     Shares no machinery with the matching engine; used to cross-check it.
+    Each candidate is checked against the colour sets of the columns in one
+    pass.
     """
-    k = matrix.k
-    column_sets = [{row[j] for row in matrix.rows} for j in range(k)]
-    for candidate in itertools.permutations(range(1, k + 1)):
-        if all(candidate[j] not in column_sets[j] for j in range(k)):
+    column_sets = [set(column) for column in zip(*matrix.rows)]
+    for candidate in itertools.permutations(range(1, matrix.k + 1)):
+        if not any(map(operator.contains, column_sets, candidate)):
             return candidate
     return None

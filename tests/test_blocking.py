@@ -16,7 +16,7 @@ from packlab.blocking import (
 )
 from packlab.errors import ResourceLimitError
 from packlab.packing import admissible_masks, has_perfect_matching
-from packlab.perms import compose, identity
+from packlab.perms import compose, identity, inverse
 
 
 def plain_packing_masks(d, k):
@@ -72,10 +72,12 @@ def plain_greedy_cover(masks, n_targets):
     return picks, trace
 
 
-def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, rounds=None):
+def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, rounds=None, repeats=None):
     """Reference: the replacement scan minimises the uncovered count directly.
 
-    Appends to ``rounds``, when given, the replacements of each full round.
+    Appends to ``rounds``, when given, the replacements of each full round,
+    and to ``repeats`` the number (from 1) of each scan of a pick already
+    scanned in the same state.
     """
     full = (1 << n_targets) - 1
     nc = len(masks)
@@ -83,6 +85,7 @@ def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, rounds=No
     evaluations = 0
     while True:
         state = [rng.randrange(nc) for _ in range(n_picks)]
+        scanned = set()  # the picks scanned since the state last changed
         while True:
             improved = 0
             for v in range(n_picks):
@@ -93,12 +96,16 @@ def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, rounds=No
                 evaluations += nc
                 if max_evals is not None and evaluations > max_evals:
                     return None
+                if repeats is not None and v in scanned:
+                    repeats.append(evaluations // nc)
+                scanned.add(v)
                 uncovered = full & ~base
                 current = (uncovered & ~masks[state[v]]).bit_count()
                 cnt, best = min(((uncovered & ~m).bit_count(), c) for c, m in enumerate(masks))
                 if cnt < current:
                     state[v] = best
                     improved += 1
+                    scanned = set()
             if rounds is not None:
                 rounds.append(improved)
             covered = 0
@@ -108,6 +115,52 @@ def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, rounds=No
                 return state
             if not improved:
                 break
+
+
+def per_bit_translate_masks(actions, members):
+    """Reference: each translate built one ``1 << index`` per base member."""
+    size = len(members)
+    radix = len(actions[0][0])
+    inside = 2 * sum(members) <= size
+    flip = 0 if inside else (1 << size) - 1
+    codes = itertools.product(range(radix), repeat=len(actions))
+    base = [x for x, member in zip(codes, members) if member == inside]
+    weights = [radix ** (len(actions) - 1 - i) for i in range(len(actions))]
+    parts = [
+        [[w * inv[b[i]] for b in base] for inv in options]
+        for i, (w, options) in enumerate(zip(weights, actions))
+    ]
+    masks = []
+    for chosen in itertools.product(*parts):
+        mask = 0
+        for idx in map(sum, zip(*chosen)):
+            mask |= 1 << idx
+        masks.append(mask ^ flip)
+    return masks
+
+
+def packing_actions(d, k):
+    """The (actions, members) that ``packing_masks`` translates."""
+    members = [not has_perfect_matching(admissible_masks(m, k)) for m in column_space(d, k)]
+    perms = list(itertools.permutations(range(1, k + 1)))
+    index_of = {p: i for i, p in enumerate(perms)}
+    inv = [[index_of[compose(inverse(a), b)] for b in perms] for a in perms]
+    return [inv] * (d - 1), members
+
+
+def colouring_actions(d, k):
+    """The (actions, members) that ``colouring_masks`` translates."""
+    perms = list(itertools.permutations(range(1, k + 1)))
+    members = [len(set(a)) == k for a in itertools.product(range(k), repeat=d)]
+    inv = [[p.index(x + 1) for x in range(k)] for p in perms]
+    return [[list(range(k))]] + [inv] * (d - 1), members
+
+
+def tail_length(actions, members):
+    """The tail length ``_translate_masks`` picks for these inputs."""
+    inside = 2 * sum(members) <= len(members)
+    codes = itertools.product(range(len(actions[0][0])), repeat=len(actions))
+    return blocking._tail_length(actions, [x for x, m in zip(codes, members) if m == inside])
 
 
 def random_mask_family(rng):
@@ -187,6 +240,48 @@ def test_hill_climb_cover_matches_uncovered_count_scan_over_several_replacements
         found += expected is not None
     assert found > 30
     assert sum(r >= 3 for r in rounds) > 300  # rounds with three or more replacements
+
+
+def test_hill_climb_cover_charges_the_repeated_scans_it_skips():
+    # once every pick was scanned in the same state, the rest of the round
+    # only repeats scans; budgets that run out inside that stretch must give
+    # None, as the scans would, larger ones the same picks, and the least
+    # budget that finds a cover after such a stretch must be the same
+    rng = random.Random(0x5C1F)
+    inside = tight = 0
+    for _ in range(240):
+        n_targets = 40
+        masks = [
+            sum(1 << b for b in range(n_targets) if rng.random() < 0.25)
+            for _ in range(rng.randint(10, 30))
+        ]
+        nc = len(masks)
+        n_picks = rng.randint(2, 8)
+        seed = rng.randrange(1 << 30)
+        repeats = []
+        max_evals = 150 * nc
+        found = plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, None, repeats)
+        assert hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, None) == found
+        for scan in rng.sample(repeats, min(3, len(repeats))):
+            budget = scan * nc - 1 - rng.randrange(nc)  # runs out during that scan
+            assert plain_hill_climb_cover(masks, n_targets, n_picks, seed, budget) is None
+            assert hill_climb_cover(masks, n_targets, n_picks, seed, budget, None) is None
+            inside += 1
+            budget = scan * nc  # pays for that scan
+            expected = plain_hill_climb_cover(masks, n_targets, n_picks, seed, budget)
+            assert hill_climb_cover(masks, n_targets, n_picks, seed, budget, None) == expected
+        if repeats and found is not None:
+            lo, hi = 1, max_evals // nc  # the least budget in scans, bisected
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if plain_hill_climb_cover(masks, n_targets, n_picks, seed, mid * nc) is None:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            assert hill_climb_cover(masks, n_targets, n_picks, seed, lo * nc - 1, None) is None
+            assert hill_climb_cover(masks, n_targets, n_picks, seed, lo * nc, None) == found
+            tight += 1
+    assert inside > 500 and tight > 10
 
 
 def test_hill_climb_cover_ignores_bits_past_the_targets():
@@ -272,6 +367,48 @@ def test_packing_masks_match_plain_reference(d, k):
 @pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
 def test_colouring_masks_match_plain_reference(d, k):
     assert colouring_masks(d, k) == plain_colouring_masks(d, k)
+
+
+@pytest.mark.parametrize(
+    "actions,d,k,tail",
+    [
+        (packing_actions, 2, 3, 0),
+        (colouring_actions, 3, 3, 0),
+        (packing_actions, 3, 3, 1),
+        (packing_actions, 3, 4, 1),
+        (packing_actions, 4, 3, 2),
+        (packing_actions, 5, 3, 2),
+        (colouring_actions, 4, 3, 2),
+        (colouring_actions, 5, 3, 2),
+        (colouring_actions, 6, 3, 3),
+    ],
+    ids=["p2-3", "c3-3", "p3-3", "p3-4", "p4-3", "p5-3", "c4-3", "c5-3", "c6-3"],
+)
+def test_translate_masks_match_the_per_bit_build(actions, d, k, tail):
+    actions, members = actions(d, k)
+    assert tail_length(actions, members) == tail
+    assert blocking._translate_masks(actions, members) == per_bit_translate_masks(actions, members)
+
+
+def test_translate_masks_match_the_per_bit_build_on_random_actions():
+    # random digit permutations, option counts and member sets, B or its
+    # complement the smaller; empty, full and one-member sets included
+    rng = random.Random(0x7A11)
+    tails = set()
+    for _ in range(400):
+        radix, n = rng.randint(1, 4), rng.randint(1, 4)
+        actions = [
+            [rng.sample(range(radix), radix) for _ in range(rng.randint(1, 5))] for _ in range(n)
+        ]
+        density = rng.choice((0.0, 0.05, 0.3, 0.7, 1.0))
+        members = [rng.random() < density for _ in range(radix**n)]
+        if rng.random() < 0.1:
+            members = [x == rng.randrange(radix**n) for x in range(radix**n)]
+        tails.add(tail_length(actions, members))
+        assert blocking._translate_masks(actions, members) == per_bit_translate_masks(
+            actions, members
+        )
+    assert tails >= {0, 1, 2, 3}
 
 
 def test_packing_masks_refuse_oversized_or_degenerate_spaces():

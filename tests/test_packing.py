@@ -104,6 +104,30 @@ def test_matching_agrees_with_brute_force():
             assert ext == oracle  # both are lexicographically smallest
 
 
+def test_brute_force_extension_is_the_first_admissible_permutation():
+    # the definition: the first permutation in itertools order that differs
+    # from every row in every position; more rows than colours included
+    rng = random.Random(0xB207E)
+    found = lost = tall = 0
+    for _ in range(1500):
+        k = rng.randint(1, 6)
+        d = rng.randint(1, k + 2)
+        m = random_matrix(rng, d, k)
+        expected = next(
+            (
+                p
+                for p in itertools.permutations(range(1, k + 1))
+                if all(p[j] != row[j] for row in m.rows for j in range(k))
+            ),
+            None,
+        )
+        assert brute_force_extension(m) == expected, m
+        found += expected is not None
+        lost += expected is None
+        tall += d > k
+    assert found > 500 and lost > 500 and tall > 300
+
+
 def reference_matching_size(adm):
     """Size of a maximum matching: Kuhn's algorithm from every position."""
     k = len(adm)

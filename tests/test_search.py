@@ -426,6 +426,20 @@ def test_greedy_trace_and_certificate_pinned(d, k):
     assert (trace, digest) == GREEDY_PINS[d, k]
 
 
+def test_greedy_d4_k4_masks_trace_and_certificate_pinned():
+    # recorded with the per-bit mask build, which took about 26 s for (4, 4);
+    # the mask digest is over each mask's 13 824 bits as little-endian bytes
+    masks = packing_masks(4, 4)
+    digest = hashlib.sha256(b"".join(m.to_bytes(13824 // 8, "little") for m in masks))
+    assert digest.hexdigest() == "12c08fe7730f71c58bed683933610671dff4ba667bd438641a9ef82297acf7c3"
+    cover, trace = greedy_unpackable_cover(4, 4)
+    cert = make_certificate("no_k_packing", cover, None, generator="greedy")
+    assert trace == [13824, 5688, 2154, 750, 226, 52, 6, 0]
+    assert hashlib.sha256(cert.to_canonical_json().encode()).hexdigest() == (
+        "d5cd7a78a4022645fabc75d8b49d819e926a0c8f7d01a1f8cd8bfa4b2c9c513e"
+    )
+
+
 def test_greedy_d3_k5_trace_and_certificate_pinned():
     # the shape where the lazy greedy skips most rescoring; t, the trace's
     # SHA-256 (of its repr) and the certificate's recorded with the full rescan
