@@ -31,13 +31,14 @@ from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 from . import __version__
-from .covers import CorrespondenceCover, ListAssignment, int_array
+from .covers import CorrespondenceCover, ListAssignment, check_fields, int_array
 from .errors import MalformedInputError, check_work, colouring_scan_steps, packing_scan_steps
 from .packing import admissible_masks, has_perfect_matching, lex_smallest_system
 from .perms import identity, perm_from_str, perm_to_str
 
 CLAIMS = ("no_k_packing", "packing_witness", "no_k_colouring", "colouring_witness")
 _WITNESS_CLAIMS = ("packing_witness", "colouring_witness")
+_CERTIFICATE_KEYS = ("version", "kind", "claim", "instance", "witness", "metadata")
 
 
 @dataclass(frozen=True)
@@ -87,16 +88,17 @@ class Certificate:
     def from_json_dict(cls, data: dict) -> "Certificate":
         if not isinstance(data, dict) or data.get("kind") != "certificate" or data.get("version") != 1:
             raise MalformedInputError("not a version-1 certificate object")
+        check_fields(data, "certificate", _CERTIFICATE_KEYS)
         instance = parse_instance(data.get("instance"))
         metadata = data.get("metadata") or {}
         if not isinstance(metadata, dict) or "generator" not in metadata:
             raise MalformedInputError("metadata.generator is required")
-        given = {f.name: metadata[f.name] for f in fields(Metadata) if f.name in metadata}
+        check_fields(metadata, "metadata", tuple(f.name for f in fields(Metadata)))
         return cls(
             claim=data.get("claim"),
             instance=instance,
             witness=data.get("witness"),
-            metadata=Metadata(**given),
+            metadata=Metadata(**metadata),
         )
 
     @classmethod
@@ -262,7 +264,13 @@ def _misfit(sides: _Sides, u_items, v_items, fits) -> dict | None:
 def _verify_packing_witness(sides: _Sides, witness) -> VerifyResult:
     # cover rows are permutation strings, list rows integer arrays
     row = perm_from_str if sides.cover else int_array
-    u_rows, v_rows = _witness_sides(sides, witness, "rows", lambda rows: [*map(row, rows)])
+
+    def rows_of(rows):  # never a string or object read entry by entry
+        if not isinstance(rows, list):
+            raise ValueError(f"expected an array of rows, got {rows!r}")
+        return [*map(row, rows)]
+
+    u_rows, v_rows = _witness_sides(sides, witness, "rows", rows_of)
     where = _misfit(sides, u_rows, v_rows, lambda r, colours: tuple(sorted(r)) == colours)
     if where is not None:
         if sides.cover:  # a permutation of the wrong length

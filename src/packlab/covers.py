@@ -11,8 +11,11 @@ arranges every list so that across each edge no colour sits at the same
 position twice.  List instances are decided and verified on their own
 colours, never through a cover.
 
-Both reach ``packing.admissible_masks`` as colour tables: at v_j colour c
-of u_i blocks sigma[i][j](c) in a cover, its place in v_j's list in a list.
+The deciders in ``search`` and, separately, the verifier read both kinds
+as two sides: the colour set of every vertex, and the colour of v_j that
+colour c of u_i meets, sigma[i][j](c) in a cover and c itself in a list.
+
+The JSON parsers refuse what they would drop or misread (``check_fields``).
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ class CorrespondenceCover:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrespondenceCover":
+        check_fields(data, "cover", ("version", "kind", "d", "t", "k", "sigma"), ("sigma",))
         try:
             if data.get("version") != 1 or data.get("kind") != "correspondence_cover":
                 raise MalformedInputError(f"not a version-1 cover object: {data.get('kind')!r}")
@@ -117,6 +121,8 @@ class ListAssignment:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ListAssignment":
+        rows = ("u_lists", "v_lists")
+        check_fields(data, "assignment", ("version", "kind", "a", "b", "k") + rows, rows)
         try:
             if data.get("version") != 1 or data.get("kind") != "list_assignment":
                 raise MalformedInputError(f"not a version-1 assignment object: {data.get('kind')!r}")
@@ -139,6 +145,21 @@ def _json_int(data: dict, key: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
     return value
+
+
+def check_fields(data: dict, what: str, keys: tuple[str, ...], rows: tuple[str, ...] = ()) -> None:
+    """Refuse, naming the field, a ``what`` object with a key outside
+    ``keys`` or a present ``rows`` field that is not an array of arrays.
+    Parsing would drop the one, so that re-serializing loses bytes, and
+    read the other character by character or key by key."""
+    for key in data:
+        if key not in keys:
+            raise MalformedInputError(f"malformed {what}: unknown field {key!r}")
+    for key in rows:
+        value = data.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+            message = f"{key!r} must be an array of arrays, got {value!r}"
+            raise MalformedInputError(f"malformed {what}: {message}")
 
 
 def int_array(values) -> tuple[int, ...]:

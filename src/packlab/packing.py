@@ -77,9 +77,10 @@ class ObstructionReport:
 def admissible_masks(rows, k: int, tables=None) -> list[int]:
     """Per-position bitmask of the colours no row blocks at that position.
 
-    tables[i][c] is the bit that colour c of row i blocks: by default bit
-    c-1, bit sigma(c)-1 through an edge's matching sigma, the position bit
-    of c in the vertex's list (0 when c is not in it) for a list instance.
+    tables[i][c] is the bit that entry c of row i blocks, by default bit
+    c-1.  The entries are positions in ``search`` (the bit of the colour
+    that position meets in the vertex's set, 0 when it lacks it) and
+    colours in the verifier and in ``cases.check_case_matrix``.
     """
     adm = [(1 << k) - 1] * k
     for row, table in zip(rows, tables or itertools.repeat(_unit_table(k))):

@@ -2,11 +2,13 @@
 
 The structural shortcut used everywhere: the large side V of K_{d,t} is an
 independent set, so a full packing exists iff some choice of colour vectors
-on U extends independently at every v_j.  Relabeling the k colourings
-simultaneously permutes all colour vectors the same way, so the first U
-vector may be pinned (to the identity in a cover, to ascending order in a
-list instance); both packing deciders therefore scan (k!)^(d-1) candidates
-in one loop and run one matching check per vertex of V, on colour tables
+on U extends independently at every v_j.  Both instance kinds are decided
+by one scan over two sides: the colour set of every vertex and the colour
+of v_j that each colour of u_i meets (through the edge's matching in a
+cover, as itself in a list instance).  Relabeling the k colourings
+simultaneously permutes all colour vectors the same way, so the scan
+arranges positions with the first U row pinned to the identity: (k!)^(d-1)
+candidates in one loop, one matching check per vertex of V, on tables
 built once per vertex.
 
 Cover constructions and the exhaustive cover scans behind chi_c and chi_c*
@@ -89,22 +91,34 @@ class SearchBudget:
 # ---------------------------------------------------------------------------
 
 
-def _first_packing(candidates, tables, k: int):
-    """The first candidate U rows that extend at every vertex of V, or None.
+def _packing_scan(u_sets, v_sets, meets) -> PackingWitness | None:
+    """The first full packing of a two-sided instance, or None.
 
-    tables[j] holds the colour tables (``admissible_masks``) of the U rows
-    at the j-th vertex of V.  Returns the rows and the
-    ``lex_smallest_system`` of the masks at each vertex.
+    u_sets, v_sets: the ascending colour sets of each side; meets[j][i][p]:
+    the colour of v_j that the p-th colour of u_i meets.  At v_j, position
+    p of u_i blocks the bit of that colour in v_j's set, or none when v_j
+    lacks it.  The first surviving rows and their lex-smallest systems are
+    mapped back to each vertex's colours.
     """
-    for rows in candidates:
-        all_adm: list[list[int]] = []
+    d, t, k = len(u_sets), len(v_sets), len(u_sets[0])
+    check_work(packing_scan_steps(d, t, k), "packing decision")
+    tables = []
+    for colours, column in zip(v_sets, meets):
+        bit = {c: 1 << p for p, c in enumerate(colours)}
+        tables.append([(0,) + tuple(bit.get(c, 0) for c in met) for met in column])
+    for rows in arrangements((identity(k),) * d):
+        adms: list[list[int]] = []
         for vertex in tables:
             adm = admissible_masks(rows, k, vertex)
             if not has_perfect_matching(adm):
                 break
-            all_adm.append(adm)
+            adms.append(adm)
         else:
-            return rows, [lex_smallest_system(adm) for adm in all_adm]
+            v_rows = map(lex_smallest_system, adms)
+            return PackingWitness(
+                u_rows=tuple(tuple(u[p - 1] for p in row) for u, row in zip(u_sets, rows)),
+                v_rows=tuple(tuple(v[p - 1] for p in row) for v, row in zip(v_sets, v_rows)),
+            )
     return None
 
 
@@ -117,15 +131,9 @@ def decide_correspondence_packing(cover: CorrespondenceCover) -> PackingWitness 
     ResourceLimitError (the instance was too big to decide) is distinct
     from the None verdict.
     """
-    d, t, k = cover.d, cover.t, cover.k
-    check_work(packing_scan_steps(d, t, k), "packing decision")
-    candidates = arrangements((identity(k),) * d)
-    tables = [[(0,) + tuple(1 << (s - 1) for s in m) for m in cover.column(j)] for j in range(t)]
-    found = _first_packing(candidates, tables, k)
-    if found is None:
-        return None
-    u_rows, v_rows = found
-    return PackingWitness(u_rows=u_rows, v_rows=tuple(v_rows))
+    colours = identity(cover.k)
+    meets = [cover.column(j) for j in range(cover.t)]
+    return _packing_scan((colours,) * cover.d, (colours,) * cover.t, meets)
 
 
 def decide_list_packing(assignment: ListAssignment) -> PackingWitness | None:
@@ -136,18 +144,8 @@ def decide_list_packing(assignment: ListAssignment) -> PackingWitness | None:
     like the cover decider.  Row i of each side of the witness is an
     arrangement of that vertex's own list.
     """
-    a, k, u_lists = assignment.a, assignment.k, assignment.u_lists
-    check_work(packing_scan_steps(a, assignment.b, k), "packing decision")
-    absent = dict.fromkeys(itertools.chain(*u_lists), 0)
-    tables = [[absent | {c: 1 << p for p, c in enumerate(v)}] * a for v in assignment.v_lists]
-    found = _first_packing(arrangements(u_lists), tables, k)
-    if found is None:
-        return None
-    u_rows, positions = found
-    v_rows = tuple(
-        tuple(lst[p - 1] for p in row) for lst, row in zip(assignment.v_lists, positions)
-    )
-    return PackingWitness(u_rows=u_rows, v_rows=v_rows)
+    u_lists = assignment.u_lists
+    return _packing_scan(u_lists, assignment.v_lists, [u_lists] * assignment.b)
 
 
 # ---------------------------------------------------------------------------

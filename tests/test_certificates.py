@@ -14,7 +14,7 @@ from packlab.certificates import (
     witness_dict_for_cover,
     witness_dict_for_lists,
 )
-from packlab.covers import k22_unpackable_cover, standard_cover
+from packlab.covers import CorrespondenceCover, k22_unpackable_cover, standard_cover
 from packlab.errors import MalformedInputError, ResourceLimitError
 from packlab.search import (
     decide_correspondence_packing,
@@ -36,6 +36,12 @@ def test_round_trip_is_byte_exact():
     again = Certificate.from_json(text)
     assert again == cert
     assert again.to_canonical_json() == text
+    # an unknown key would be dropped, so the file could not round-trip: refused
+    for where in ("certificate", "metadata"):
+        data = json.loads(text)
+        (data if where == "certificate" else data["metadata"])["note"] = "x"
+        with pytest.raises(MalformedInputError, match=f"^malformed {where}: unknown field 'note'$"):
+            Certificate.from_json_dict(data)
 
 
 def test_witness_presence_rule():
@@ -100,6 +106,19 @@ def test_verify_packing_witness():
     )
     result = verify_certificate(broken)
     assert not result.accepted and result.reason == "clashing edge"
+
+    # rows given as an object would be read key by key, here a valid packing
+    cover = CorrespondenceCover.from_json_dict({
+        "version": 1, "kind": "correspondence_cover", "d": 2, "t": 2, "k": 3,
+        "sigma": [["(1,2,3)", "(3,1,2)"], ["(3,2,1)", "(2,1,3)"]],
+    })
+    witness = decide_correspondence_packing(cover)
+    rows = witness_dict_for_cover(witness.u_rows, witness.v_rows)
+    assert verify_certificate(make_certificate("packing_witness", cover, rows, "decide")).accepted
+    keyed = {side: dict.fromkeys(rows[side], 0) for side in rows}
+    assert all(len(keyed[side]) == 2 for side in keyed)
+    with pytest.raises(MalformedInputError, match="^malformed witness: expected an array of rows"):
+        verify_certificate(make_certificate("packing_witness", cover, keyed, "decide"))
 
 
 def test_verify_list_certificates():

@@ -278,29 +278,56 @@ def test_reproduce_cli(tmp_path, capsys):
     assert report_path.read_text() == out
 
 
+def _refused_by_decide_and_verify(tmp_path, capsys, kind, data, key):
+    """The instance file ``data`` and a certificate holding it both exit 2,
+    the message naming ``key``."""
+    from packlab.certificates import make_certificate
+
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "decide", f"--{kind}", str(path))
+    assert code == 2 and f"malformed {kind}" in err and repr(key) in err
+    cert = make_certificate("no_k_packing", k22_unpackable_cover(), None, generator="g")
+    cert = {**cert.to_json_dict(), "instance": data}
+    path.write_text(json.dumps(cert))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and f"malformed {kind}" in err and repr(key) in err
+
+
+def _instance_data(kind):
+    from packlab.cases import k39_assignment
+
+    return (k22_unpackable_cover() if kind == "cover" else k39_assignment()).to_json_dict()
+
+
 @pytest.mark.parametrize("kind,key", [
     ("cover", "d"), ("cover", "t"), ("cover", "k"),
     ("assignment", "a"), ("assignment", "b"), ("assignment", "k"),
 ])
 @pytest.mark.parametrize("bad", ["missing", "list", "float", "string"])
 def test_instance_size_fields_must_be_integers(tmp_path, capsys, kind, key, bad):
-    from packlab.cases import k39_assignment
-    from packlab.certificates import make_certificate
-
-    instance = k22_unpackable_cover() if kind == "cover" else k39_assignment()
-    data = instance.to_json_dict()
+    data = _instance_data(kind)
     value = data.pop(key)
     if bad != "missing":
         data[key] = {"list": [value], "float": value - 0.3, "string": str(value)}[bad]
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps(data))
-    code, _, err = run(capsys, "decide", f"--{kind}", str(path))
-    assert code == 2 and f"malformed {kind}" in err
-    cert = make_certificate("no_k_packing", instance, None, generator="fixture").to_json_dict()
-    cert["instance"] = data
-    path.write_text(json.dumps(cert))
-    code, _, err = run(capsys, "verify", str(path))
-    assert code == 2 and f"malformed {kind}" in err
+    _refused_by_decide_and_verify(tmp_path, capsys, kind, data, key)
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("cover", "extra", {}),
+    ("cover", "sigma", "(1,2,3)"),
+    ("cover", "sigma", {"(1,2,3)": "(1,3,2)"}),
+    ("cover", "sigma", [{"(1,2,3)": 0, "(1,3,2)": 0}] * 2),  # rows read key by key
+    ("assignment", "extra", {}),
+    ("assignment", "u_lists", "123"),
+    ("assignment", "v_lists", {"1": [1, 2, 3]}),
+], ids=["cover-extra", "sigma-string", "sigma-object", "sigma-object-rows",
+        "assignment-extra", "u_lists-string", "v_lists-object"])
+def test_instance_fields_keep_their_shape(tmp_path, capsys, kind, key, value):
+    # an unknown key would be dropped and a string or object read entry by entry
+    data = _instance_data(kind)
+    data[key] = value
+    _refused_by_decide_and_verify(tmp_path, capsys, kind, data, key)
 
 
 def test_k44_uncolourable_cover_fixture_verifies(capsys):

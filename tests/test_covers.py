@@ -118,6 +118,14 @@ def test_list_translation_identical_lists_gives_standard_cover():
     assert decide_list_packing(assignment) == decide_correspondence_packing(
         standard_cover(2, 2, 3)
     )
+    # lists all equal to another 3-set S decide the same, colour p read as S[p - 1]
+    s = (2, 5, 9)
+    for d, t in ((2, 2), (3, 2), (2, 3)):
+        relabelled = decide_list_packing(make_assignment([s] * d, [s] * t))
+        standard = decide_correspondence_packing(standard_cover(d, t, 3))
+        assert standard is not None
+        assert relabelled.u_rows == tuple(tuple(s[p - 1] for p in row) for row in standard.u_rows)
+        assert relabelled.v_rows == tuple(tuple(s[p - 1] for p in row) for row in standard.v_rows)
 
 
 def test_disjoint_lists_always_packable():
