@@ -257,11 +257,14 @@ def hill_climb_cover(
     """n_picks mask indices covering every target, found by seeded hill-climbing.
 
     Bits at or past n_targets are ignored.  Objective: the number of
-    uncovered targets.  Round-robin over the picks, each is replaced by the
-    best alternative (fewest uncovered, then smallest index) when that
-    improves on it; a round without improvement restarts from a fresh
-    seeded state.  With U the targets the other picks leave uncovered, mask
-    m leaves |U ∖ m| = |U| − |U ∩ m| uncovered, so the best alternative is
+    uncovered targets.  Each restart draws a seeded state, then scans its
+    picks round-robin from pick 0, replacing each by the best alternative
+    (fewest uncovered, then smallest index) when that improves on it.  A
+    covering state is returned as soon as it appears; n_picks scans in a
+    row without a replacement restart the search.  None before any scan
+    when the fattest n_picks masks cannot cover, or some target is in no
+    mask.  With U the targets the other picks leave uncovered, mask m
+    leaves |U ∖ m| = |U| − |U ∩ m| uncovered, so the best alternative is
     the first index with the most hits |U ∩ m|.
 
     The hits of all masks are counted at once.  The incidence table,
@@ -284,7 +287,7 @@ def hill_climb_cover(
     state and its pick, so once n_picks scans in a row replace nothing,
     the state is a local minimum and the rest of the round would repeat
     scans already made: their evaluations are charged in one step, with
-    the same budget check, and the round ends.  Without a time limit the
+    the same budget check, before the restart.  Without a time limit the
     outcome is a function of the inputs alone.  One round's words, n_picks
     masks of n_targets bits, are charged to the work limit before the
     state is built.
@@ -293,8 +296,9 @@ def hill_climb_cover(
         raise ValueError("need n_picks >= 1")  # no scan would ever check a limit
     check_work(n_picks * -(-n_targets // 64), "hill-climb round")
     full = (1 << n_targets) - 1
-    if n_picks * max((m & full).bit_count() for m in masks) < n_targets:
-        return None  # even the fattest picks leave a target uncovered
+    fattest = max((m & full).bit_count() for m in masks)
+    if n_picks * fattest < n_targets or full & ~functools.reduce(operator.or_, masks):
+        return None  # the fattest picks leave a target uncovered, or no mask hits it
     nc = len(masks)
     everyone = (1 << nc) - 1
     covers = _transpose(masks, n_targets)
@@ -305,34 +309,30 @@ def hill_climb_cover(
         state = [rng.randrange(nc) for _ in range(n_picks)]
         once, nowhere, floor = _tally(masks, state, full, covers)
         calm = 0  # scans since the restart or the last replacement
-        while True:
-            for v in range(n_picks):
-                if deadline is not None and time.monotonic() > deadline:
-                    return None
-                evaluations += nc
-                if max_evals is not None and evaluations > max_evals:
-                    return None
-                best = everyone
-                for plane in reversed(_add_hits(floor, covers, once & masks[state[v]])):
-                    if best & plane:
-                        best &= plane
-                if not best >> state[v] & 1:
-                    state[v] = (best & -best).bit_length() - 1
-                    calm = 0
-                    once, nowhere, floor = _tally(masks, state, full, covers)
-                    continue
-                calm += 1
-                if calm == n_picks:
-                    # every pick was scanned in this state: charge the
-                    # repeats left in the round without making them
-                    evaluations += (n_picks - 1 - v) * nc
-                    if max_evals is not None and evaluations > max_evals:
-                        return None
-                    break
+        for v in itertools.cycle(range(n_picks)):
             if not nowhere:
                 return state
+            if deadline is not None and time.monotonic() > deadline:
+                return None
+            evaluations += nc
+            if max_evals is not None and evaluations > max_evals:
+                return None
+            best = everyone
+            for plane in reversed(_add_hits(floor, covers, once & masks[state[v]])):
+                if best & plane:
+                    best &= plane
+            if not best >> state[v] & 1:
+                state[v] = (best & -best).bit_length() - 1
+                calm = 0
+                once, nowhere, floor = _tally(masks, state, full, covers)
+                continue
+            calm += 1
             if calm == n_picks:
-                break  # local minimum: restart
+                # a local minimum: charge the round's rest unmade, then restart
+                evaluations += (n_picks - 1 - v) * nc
+                if max_evals is not None and evaluations > max_evals:
+                    return None
+                break
 
 
 def _tally(

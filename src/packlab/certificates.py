@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from . import __version__
@@ -51,6 +51,16 @@ class Metadata:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+# the JSON type each metadata field admits, in field order; a boolean is no integer
+_METADATA_TYPES = {
+    "generator": (str, "a string"),
+    "seed": ((int, type(None)), "an integer or null"),
+    "budget": ((dict, type(None)), "an object or null"),
+    "timestamp": ((str, type(None)), "a string or null"),
+    "tool_version": (str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -93,7 +103,13 @@ class Certificate:
         metadata = data.get("metadata") or {}
         if not isinstance(metadata, dict) or "generator" not in metadata:
             raise MalformedInputError("metadata.generator is required")
-        check_fields(metadata, "metadata", tuple(f.name for f in fields(Metadata)))
+        check_fields(metadata, "metadata", tuple(_METADATA_TYPES))
+        for key, value in metadata.items():
+            types, expected = _METADATA_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise MalformedInputError(
+                    f"malformed metadata: {key!r} must be {expected}, got {value!r}"
+                )
         return cls(
             claim=data.get("claim"),
             instance=instance,

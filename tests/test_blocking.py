@@ -75,16 +75,26 @@ def plain_greedy_cover(masks, n_targets):
 def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, rounds=None, repeats=None):
     """Reference: the replacement scan minimises the uncovered count directly.
 
-    Appends to ``rounds``, when given, the replacements of each full round,
-    and to ``repeats`` the number (from 1) of each scan of a pick already
-    scanned in the same state.
+    A state is tested for coverage after the draw and after each
+    replacement.  Appends to ``rounds``, when given, the replacements of
+    each full round, and to ``repeats`` the number (from 1) of each scan of
+    a pick already scanned in the same state.
     """
     full = (1 << n_targets) - 1
     nc = len(masks)
     rng = random.Random(seed)
     evaluations = 0
+
+    def covering(state):
+        covered = 0
+        for c in state:
+            covered |= masks[c]
+        return covered & full == full
+
     while True:
         state = [rng.randrange(nc) for _ in range(n_picks)]
+        if covering(state):
+            return state
         scanned = set()  # the picks scanned since the state last changed
         while True:
             improved = 0
@@ -106,13 +116,10 @@ def plain_hill_climb_cover(masks, n_targets, n_picks, seed, max_evals, rounds=No
                     state[v] = best
                     improved += 1
                     scanned = set()
+                    if covering(state):
+                        return state
             if rounds is not None:
                 rounds.append(improved)
-            covered = 0
-            for c in state:
-                covered |= masks[c]
-            if covered & full == full:
-                return state
             if not improved:
                 break
 
@@ -575,8 +582,21 @@ def test_hill_climb_cover_scans_nothing_when_no_cover_exists(monkeypatch):
     masks = packing_masks(3, 4)  # 80 of 576 candidates per column
     assert hill_climb_cover(masks, len(masks), 7, 0, None, 1e9) is None
     assert hill_climb_cover([0b0011, 0b0110], 5, 2, 0, None, 1e9) is None
+    # two picks could hold four targets, but target 3 is in no mask; such a
+    # call used to scan until a limit ran out, and for ever without one
+    assert hill_climb_cover([0b0111, 0b0011], 4, 2, 0, 10_000, 1e9) is None
     assert reads == []
     assert hill_climb_cover([0b0011, 0b1100], 4, 2, 0, None, 1e9) is not None
     assert reads
     with pytest.raises(ValueError):
         hill_climb_cover([], 1, 1, 0, None, 1e9)
+
+
+def test_hill_climb_cover_returns_a_covering_draw_before_any_scan(monkeypatch):
+    # the clock is read once, for the deadline, and never before a scan;
+    # a budget too small for one scan still returns the drawn cover
+    reads = []
+    monkeypatch.setattr(blocking, "time", SimpleNamespace(monotonic=lambda: reads.append(1) or 0.0))
+    assert hill_climb_cover([0b1111], 4, 1, 0, None, 1e9) == [0]
+    assert len(reads) == 1
+    assert hill_climb_cover([0b1111], 4, 1, 0, 0, None) == [0]

@@ -298,10 +298,12 @@ def test_generated_certificates_always_verify():
         cert = Certificate.from_json(cert.to_canonical_json())
         assert verify_certificate(cert).accepted
 
-    for seed in range(3):
+    # three (2, 3, 2) hunts, and the (3, 4, 18) hunt pinned in test_blocking
+    hunts = [(2, 3, 2, seed, 100_000) for seed in range(3)] + [(3, 4, 18, 4, 2_000_000)]
+    for d, k, t, seed, max_candidates in hunts:
         found = random_unpackable_cover_search(
-            2, 3, 2, SearchBudget(max_candidates=100_000, seed=seed)
+            d, k, t, SearchBudget(max_candidates=max_candidates, seed=seed)
         )
-        assert found is not None
+        assert found is not None and found.t == t
         cert = make_certificate("no_k_packing", found, None, generator="hunt", seed=seed)
         assert verify_certificate(Certificate.from_json(cert.to_canonical_json())).accepted

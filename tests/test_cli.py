@@ -330,6 +330,24 @@ def test_instance_fields_keep_their_shape(tmp_path, capsys, kind, key, value):
     _refused_by_decide_and_verify(tmp_path, capsys, kind, data, key)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("generator", [1]), ("seed", "x"), ("seed", True), ("seed", 1.0),
+    ("budget", 5), ("timestamp", 7), ("tool_version", None),
+], ids=["generator-array", "seed-string", "seed-boolean", "seed-float",
+        "budget-integer", "timestamp-integer", "tool_version-null"])
+def test_metadata_fields_keep_their_types(tmp_path, capsys, key, value):
+    # each of these used to parse and verify as ACCEPT
+    from packlab.certificates import make_certificate
+
+    cert = make_certificate("no_k_packing", k22_unpackable_cover(), None, generator="g")
+    data = cert.to_json_dict()
+    data["metadata"][key] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "malformed metadata" in err and repr(key) in err
+
+
 def test_k44_uncolourable_cover_fixture_verifies(capsys):
     from pathlib import Path
 

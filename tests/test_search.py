@@ -495,6 +495,15 @@ def test_random_search_single_vertex_impossible():
     assert random_unpackable_cover_search(2, 3, 1, budget) is None
 
 
+def test_random_search_keeps_the_cover_it_finds_mid_round():
+    # the cover appears at scan 13 of a 20-scan round: 7 488 = 13 · 576
+    # candidates pay for that scan, not for the rest of the round
+    cover = random_unpackable_cover_search(3, 4, 20, SearchBudget(max_candidates=7488, seed=0))
+    assert cover is not None and cover.t == 20
+    assert decide_correspondence_packing(cover) is None
+    assert random_unpackable_cover_search(3, 4, 20, SearchBudget(max_candidates=7487, seed=0)) is None
+
+
 def test_hunt_certificate_identical_across_interpreters(tmp_path):
     # two fresh interpreters with different string-hash seeds, so neither set
     # iteration order nor any state left in this process can steer the hunt
