@@ -96,24 +96,6 @@ def _venn_form(sizes) -> tuple[tuple[int, ...], ...]:
     return min(forms)
 
 
-def canonical_triple(lists) -> tuple[tuple[int, ...], ...]:
-    """Canonical form of a triple of colour sets.
-
-    Minimum, over the six vertex orders and all colour relabelings that
-    assign fresh labels in first-use order, of the tuple of sorted label
-    rows.  Two triples get the same form iff a colour bijection plus a
-    vertex permutation maps one to the other; the form depends on the
-    seven Venn-region sizes alone.
-    """
-    rows = [frozenset(lst) for lst in lists]
-    if len(rows) != 3:
-        raise ValueError("need exactly three lists")
-    sizes = [0] * 8
-    for colour in rows[0] | rows[1] | rows[2]:
-        sizes[sum(1 << i for i, row in enumerate(rows) if colour in row)] += 1
-    return _venn_form(sizes)
-
-
 def enumerate_triple_types(k: int, allow_repeats: bool = False) -> list[tuple[tuple[int, ...], ...]]:
     """All isomorphism types of triples of k-lists, as sorted canonical forms.
 
@@ -222,23 +204,6 @@ def _block_masks(u_lists, cuts) -> dict[tuple[int, ...], int]:
         if mask:
             masks[lst] = mask
     return masks
-
-
-def packing_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
-    """(arrangements, mask per effective list) for the packing problem.
-
-    Bit m of a mask is set when the list blocks arrangement m (no
-    permutation of the list is a common derangement of its rows), decided
-    by the arrangement's Hall cuts.  Lists with zero mask are dropped.
-    """
-    candidates, cuts = _packing_cuts(u_lists)
-    return candidates, _block_masks(u_lists, cuts)
-
-
-def colouring_block_masks(u_lists) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
-    """(colourings, mask per effective list) for the single-colouring problem."""
-    colourings, cuts = _colouring_cuts(u_lists)
-    return colourings, _block_masks(u_lists, cuts)
 
 
 def _list_threshold(k: int, target_cuts, candidates: int, what: str) -> int | None:

@@ -19,6 +19,7 @@ from .certificates import (
     Certificate,
     load_instance,
     make_certificate,
+    read_json,
     save_json,
     verify_certificate,
     witness_dict_for_cover,
@@ -194,9 +195,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        cert = Certificate.from_json(fh.read())
-    result = verify_certificate(cert)
+    result = verify_certificate(Certificate.from_json_dict(read_json(args.certificate)))
     if result.accepted:
         _emit(args, ["ACCEPT"], {"verdict": "accept"})
         return 0

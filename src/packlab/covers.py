@@ -68,15 +68,12 @@ class CorrespondenceCover:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrespondenceCover":
-        check_fields(data, "cover", ("version", "kind", "d", "t", "k", "sigma"), ("sigma",))
+        check_fields(data, "cover")
         try:
-            if data.get("version") != 1 or data.get("kind") != "correspondence_cover":
-                raise MalformedInputError(f"not a version-1 cover object: {data.get('kind')!r}")
-            sigma = tuple(tuple(perm_from_str(s) for s in row) for row in data["sigma"])
-            cover = cls(k=_json_int(data, "k"), sigma=sigma)
-            if cover.d != _json_int(data, "d") or cover.t != _json_int(data, "t"):
+            cover = cls(data["k"], tuple(tuple(map(perm_from_str, row)) for row in data["sigma"]))
+            if (cover.d, cover.t) != (data["d"], data["t"]):
                 raise ValueError("cover dimensions disagree with sigma array")
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise MalformedInputError(f"malformed cover: {exc}") from exc
         return cover
 
@@ -121,45 +118,59 @@ class ListAssignment:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ListAssignment":
-        rows = ("u_lists", "v_lists")
-        check_fields(data, "assignment", ("version", "kind", "a", "b", "k") + rows, rows)
+        check_fields(data, "assignment")
         try:
-            if data.get("version") != 1 or data.get("kind") != "list_assignment":
-                raise MalformedInputError(f"not a version-1 assignment object: {data.get('kind')!r}")
             obj = cls(
-                k=_json_int(data, "k"),
+                k=data["k"],
                 u_lists=tuple(tuple(sorted(int_array(lst))) for lst in data["u_lists"]),
                 v_lists=tuple(tuple(sorted(int_array(lst))) for lst in data["v_lists"]),
             )
-            if obj.a != _json_int(data, "a") or obj.b != _json_int(data, "b"):
+            if (obj.a, obj.b) != (data["a"], data["b"]):
                 raise ValueError("assignment sizes disagree with the lists")
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise MalformedInputError(f"malformed assignment: {exc}") from exc
         return obj
 
 
-def _json_int(data: dict, key: str) -> int:
-    """data[key] when it is a JSON integer; a missing key, floats, strings
-    and booleans are refused."""
-    value = data.get(key)
-    if type(value) is not int:
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return value
+_NULL, _ABSENT = type(None), type(...)  # check_fields reads a left-out field as ...
+_INT, _STRING, _OBJECT = ((int,), "an integer"), ((str,), "a string"), ((dict,), "an object")
+_ROWS = ((list,), "an array of arrays")
+
+#: Every JSON object packlab reads, by its name in refusals: its "kind" (None:
+#: no version or kind field) and, per field, the types its decoded value may
+#: have and their phrase.  A bool is no int, an array holds arrays, and a field
+#: whose types hold _ABSENT may be left out.
+FIELDS = {
+    "cover": ("correspondence_cover", {"version": _INT, "kind": _STRING,
+              "d": _INT, "t": _INT, "k": _INT, "sigma": _ROWS}),
+    "assignment": ("list_assignment", {"version": _INT, "kind": _STRING,
+                   "a": _INT, "b": _INT, "k": _INT, "u_lists": _ROWS, "v_lists": _ROWS}),
+    "certificate": ("certificate", {"version": _INT, "kind": _STRING, "claim": _STRING,
+                    "instance": _OBJECT, "witness": ((dict, _NULL, _ABSENT), "an object or null"),
+                    "metadata": _OBJECT}),
+    "metadata": (None, {"generator": _STRING, "seed": ((int, _NULL, _ABSENT), "an integer or null"),
+                 "budget": ((dict, _NULL, _ABSENT), "an object or null"),
+                 "timestamp": ((str, _NULL, _ABSENT), "a string or null"),
+                 "tool_version": ((str, _ABSENT), "a string")}),
+}
 
 
-def check_fields(data: dict, what: str, keys: tuple[str, ...], rows: tuple[str, ...] = ()) -> None:
-    """Refuse, naming the field, a ``what`` object with a key outside
-    ``keys`` or a present ``rows`` field that is not an array of arrays.
-    Parsing would drop the one, so that re-serializing loses bytes, and
-    read the other character by character or key by key."""
+def check_fields(data, what: str) -> None:
+    """Refuse, naming the field, a ``what`` object with a key FIELDS[what] does
+    not list, a wrong version or kind, or a field of a wrong type: parsing would
+    drop the key, so that re-serializing loses bytes, or misread the value."""
+    kind, fields = FIELDS[what]
+    if not isinstance(data, dict):
+        raise MalformedInputError(f"malformed {what}: not an object")
     for key in data:
-        if key not in keys:
+        if key not in fields:
             raise MalformedInputError(f"malformed {what}: unknown field {key!r}")
-    for key in rows:
-        value = data.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
-            message = f"{key!r} must be an array of arrays, got {value!r}"
-            raise MalformedInputError(f"malformed {what}: {message}")
+    if kind is not None and (data.get("version"), data.get("kind")) != (1, kind):
+        raise MalformedInputError(f"malformed {what}: not a version-1 {what} object")
+    for key, (types, phrase) in fields.items():
+        value = data.get(key, ...)
+        if type(value) not in types or type(value) is list and any(type(r) is not list for r in value):
+            raise MalformedInputError(f"malformed {what}: {key!r} must be {phrase}, got {data.get(key)!r}")
 
 
 def int_array(values) -> tuple[int, ...]:

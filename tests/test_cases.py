@@ -9,26 +9,49 @@ import pytest
 import packlab
 from packlab.cases import (
     CASE_MATRICES,
+    _block_masks,
+    _colouring_cuts,
     _effective_lists,
     _hall_cuts,
+    _packing_cuts,
+    _venn_form,
     a10_assignment,
-    canonical_triple,
     check_case_matrix,
     chi_l_exact,
     chi_l_star_exact,
-    colouring_block_masks,
     enumerate_triple_types,
     k39_assignment,
     k65_assignment,
     list_colouring_threshold,
     list_packing_threshold,
-    packing_block_masks,
     u_side_list_types,
 )
 from packlab.blocking import arrangements, min_cover_size
 from packlab.certificates import make_certificate, verify_certificate, witness_dict_for_lists
 from packlab.errors import ResourceLimitError
 from packlab.search import decide_list_packing
+
+
+def canonical_triple(lists):
+    """Canonical form of a triple of colour sets, from its seven Venn-region
+    sizes: sizes[m] counts the colours in exactly the lists of bitmask m."""
+    rows = [frozenset(lst) for lst in lists]
+    sizes = [0] * 8
+    for colour in rows[0] | rows[1] | rows[2]:
+        sizes[sum(1 << i for i, row in enumerate(rows) if colour in row)] += 1
+    return _venn_form(sizes)
+
+
+def packing_block_masks(u_lists):
+    """(arrangements, mask per effective list) from the arrangements' Hall cuts."""
+    candidates, cuts = _packing_cuts(u_lists)
+    return candidates, _block_masks(u_lists, cuts)
+
+
+def colouring_block_masks(u_lists):
+    """(colourings, mask per effective list) for the single-colouring problem."""
+    colourings, cuts = _colouring_cuts(u_lists)
+    return colourings, _block_masks(u_lists, cuts)
 
 
 def brute_canonical_triple(lists):

@@ -158,7 +158,7 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys, command):
     path.write_text("[" * 100_000 + "]" * 100_000)
     code, _, err = run(capsys, *command, str(path))
     assert code == 2
-    assert "invalid JSON" in err and "Traceback" not in err
+    assert f"invalid JSON in {path}" in err and "Traceback" not in err
 
 
 def test_decide_non_string_permutation_is_input_error(tmp_path, capsys):
@@ -328,6 +328,34 @@ def test_instance_fields_keep_their_shape(tmp_path, capsys, kind, key, value):
     data = _instance_data(kind)
     data[key] = value
     _refused_by_decide_and_verify(tmp_path, capsys, kind, data, key)
+
+
+@pytest.mark.parametrize("kind,key,rows", [
+    ("cover", "k", {"sigma": [["(1,2", "(1,2,3)"]] * 2}),
+    ("assignment", "a", {"u_lists": [["x"]] * 3}),
+], ids=["cover", "assignment"])
+def test_size_fields_are_checked_before_any_row(tmp_path, capsys, kind, key, rows):
+    # a sigma entry or list row that does not parse used to be reported first
+    data = {**_instance_data(kind), **rows, key: "3"}
+    _refused_by_decide_and_verify(tmp_path, capsys, kind, data, key)
+
+
+@pytest.mark.parametrize("command", ["decide", "verify"])
+def test_repeated_keys_are_refused(tmp_path, capsys, command):
+    # json.loads keeps the last value: this file was judged by its K_{2,2}
+    # sigma, and re-serializing dropped the packable one before it
+    from packlab.certificates import make_certificate
+
+    instance = k22_unpackable_cover()
+    data = instance.to_json_dict()
+    if command == "verify":
+        data = make_certificate("no_k_packing", instance, None, generator="g").to_json_dict()
+    packable = json.dumps(standard_cover(2, 2, 3).to_json_dict()["sigma"])
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data).replace('"sigma": ', f'"sigma": {packable}, "sigma": '))
+    argv = ["decide", "--cover", str(path)] if command == "decide" else ["verify", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and f"invalid JSON in {path}: repeated key 'sigma'" in err
 
 
 @pytest.mark.parametrize("key,value", [
